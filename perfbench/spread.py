@@ -2,14 +2,12 @@
 """Run-to-run spread of the benchmark's end-to-end metrics.
 
     python3 perfbench/spread.py [--runs 10] [--first-seed 1]
-                                [--workloads serve-zipf,lib-sketch]
-                                [--seconds S] [--out FILE]
 
-Runs perfbench/run.py once per seed on each workload (untraced), then
-prints, for every end-to-end metric, the median of the runs and the
-distance between their first and third quartiles (statistics.quantiles,
-n=4) as a share of the median, beside the metric's bound in
-BENCHMARK.json. A benchmark is steady when every spread is below a third
+Runs perfbench/run.py once per seed on every workload in BENCHMARK.json,
+untraced and for its run_seconds. Then prints, for every end-to-end
+metric, the median of the runs and the distance between their first and
+third quartiles (statistics.quantiles, n=4) as a share of the median,
+beside the metric's bound in BENCHMARK.json. A benchmark is steady when every spread is below a third
 of its bound. Run from the repository root.
 """
 
@@ -27,15 +25,11 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--workloads", default="")
-    parser.add_argument("--seconds", type=float, default=None)
-    parser.add_argument("--out", default="")
     args = parser.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = ([w for w in args.workloads.split(",") if w] or
-                 [w["name"] for w in spec["workloads"]])
-    seconds = args.seconds or spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     values = {}
@@ -59,7 +53,6 @@ def main():
                     m["value"])
             print(f"{workload} seed {seed}: done", file=sys.stderr, flush=True)
 
-    report = {}
     print(f"{'workload':14} {'metric':14} {'median':>14} {'spread':>8} "
           f"{'bound':>6} {'steady':>6}")
     for workload, metrics in values.items():
@@ -72,13 +65,8 @@ def main():
             spread = (q3 - q1) / median if median else float("inf")
             bound = bounds.get(name, 0)
             steady = spread < bound / 3
-            report.setdefault(workload, {})[name] = {
-                "values": vals, "median": median, "spread": spread,
-                "bound": bound}
             print(f"{workload:14} {name:14} {median:14.6g} {spread:8.4f} "
                   f"{bound:6.2f} {'yes' if steady else 'NO':>6}")
-    if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 1 if failed else 0
 
 

@@ -1,6 +1,8 @@
 #include "common.h"
 
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <charconv>
@@ -22,18 +24,20 @@ double Quantile(std::vector<double> values, double q) {
   return values[lo] + (values[hi] - values[lo]) * frac;
 }
 
-double ItemsPerSecond(std::vector<OpRecord> ops) {
-  if (ops.empty()) return 0.0;
+void OpLog::Add(std::vector<OpRecord> ops) {
+  if (ops.empty()) return;
   std::sort(ops.begin(), ops.end(), [](const OpRecord& a, const OpRecord& b) {
     return a.start_ns < b.start_ns;
   });
-  // Busy time: the union of the ops' intervals.
   int64_t busy_ns = 0;
+  uint64_t items = 0;
   int64_t cover_start = ops[0].start_ns;
   int64_t cover_end = ops[0].end_ns;
-  uint64_t items = 0;
+  std::vector<double> ingest_us, query_us;
   for (const OpRecord& op : ops) {
     items += op.items;
+    const double us = static_cast<double>(op.end_ns - op.start_ns) / 1e3;
+    (op.query ? query_us : ingest_us).push_back(us);
     if (op.start_ns > cover_end) {
       busy_ns += cover_end - cover_start;
       cover_start = op.start_ns;
@@ -43,9 +47,26 @@ double ItemsPerSecond(std::vector<OpRecord> ops) {
     }
   }
   busy_ns += cover_end - cover_start;
-  return busy_ns > 0 ? static_cast<double>(items) * 1e9 /
-                           static_cast<double>(busy_ns)
-                     : 0.0;
+  busy_ns_ += busy_ns;
+  items_ += items;
+  if (busy_ns > 0) {
+    figures_["items_per_s"].push_back(static_cast<double>(items) * 1e9 /
+                                      static_cast<double>(busy_ns));
+  }
+  if (!ingest_us.empty()) {
+    figures_["ingest_p50_us"].push_back(Quantile(ingest_us, 0.5));
+    figures_["ingest_p90_us"].push_back(Quantile(ingest_us, 0.9));
+  }
+  if (!query_us.empty()) {
+    figures_["query_p50_us"].push_back(Quantile(query_us, 0.5));
+    figures_["query_p90_us"].push_back(Quantile(query_us, 0.9));
+  }
+}
+
+double OpLog::ItemsPerSecond() const {
+  return busy_ns_ > 0 ? static_cast<double>(items_) * 1e9 /
+                            static_cast<double>(busy_ns_)
+                      : 0.0;
 }
 
 void Checks::Check(bool ok, const std::string& what) {
@@ -101,19 +122,15 @@ std::string Report::Json(const Checks& checks) const {
   return out;
 }
 
-void AddEndToEnd(const std::vector<OpRecord>& ops, const Checks& checks,
+void AddEndToEnd(const OpLog& ops, const Checks& checks,
                  const std::vector<double>& setup_s, Report* report) {
-  std::vector<double> ingest_us, query_us;
-  for (const OpRecord& op : ops) {
-    const double us = static_cast<double>(op.end_ns - op.start_ns) / 1e3;
-    (op.query ? query_us : ingest_us).push_back(us);
-  }
   report->Set("setup_s", Median(setup_s), "s");
-  report->Set("items_per_s", ItemsPerSecond(ops), "1/s");
-  report->Set("ingest_p50_us", Quantile(ingest_us, 0.5), "us");
-  report->Set("ingest_p90_us", Quantile(ingest_us, 0.9), "us");
-  report->Set("query_p50_us", Quantile(query_us, 0.5), "us");
-  report->Set("query_p90_us", Quantile(query_us, 0.9), "us");
+  for (const char* name : {"items_per_s", "ingest_p50_us", "ingest_p90_us",
+                           "query_p50_us", "query_p90_us"}) {
+    const auto it = ops.figures().find(name);
+    report->Set(name, it == ops.figures().end() ? 0.0 : Median(it->second),
+                name == std::string("items_per_s") ? "1/s" : "us");
+  }
   const double attempted = static_cast<double>(checks.attempted());
   const double failed = static_cast<double>(checks.failed());
   report->Set("ok_ops_frac",
@@ -133,9 +150,44 @@ double PeakRssMb() {
 }
 
 Stream ZipfStream(uint64_t universe, double z, uint64_t seed, size_t n) {
-  auto gen = streamfreq::ZipfGenerator::Make(universe, z, seed);
-  SFQ_CHECK_OK(gen.status());
-  return gen->Take(n);
+  // The sampler runs in a child process and sends the stream back over a
+  // pipe. Its alias tables (about 40 MiB at 2^20 items) then never count
+  // toward this process's peak RSS, which peak_rss_mb reports.
+  int fds[2];
+  SFQ_CHECK(pipe(fds) == 0) << "pipe failed";
+  const pid_t pid = fork();
+  SFQ_CHECK(pid >= 0) << "fork failed";
+  if (pid == 0) {
+    close(fds[0]);
+    auto gen = streamfreq::ZipfGenerator::Make(universe, z, seed);
+    if (!gen.ok()) _exit(1);
+    const Stream stream = gen->Take(n);
+    const char* p = reinterpret_cast<const char*>(stream.data());
+    size_t left = n * sizeof(ItemId);
+    while (left > 0) {
+      const ssize_t w = write(fds[1], p, left);
+      if (w <= 0) _exit(1);
+      p += w;
+      left -= static_cast<size_t>(w);
+    }
+    _exit(0);
+  }
+  close(fds[1]);
+  Stream stream(n);
+  char* p = reinterpret_cast<char*>(stream.data());
+  size_t left = n * sizeof(ItemId);
+  while (left > 0) {
+    const ssize_t r = read(fds[0], p, left);
+    if (r <= 0) break;
+    p += r;
+    left -= static_cast<size_t>(r);
+  }
+  close(fds[0]);
+  int status = 0;
+  SFQ_CHECK(waitpid(pid, &status, 0) == pid) << "waitpid failed";
+  SFQ_CHECK(left == 0 && WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "Zipf stream generation failed";
+  return stream;
 }
 
 bool WellFormedTopK(const std::vector<ItemCount>& answer, size_t k) {
@@ -163,22 +215,7 @@ void CorruptAnswer(std::vector<ItemCount>* answer) {
   if (answer->size() == 1) (*answer)[0].item ^= 1;
 }
 
-CyclicPrefix CyclicConsumed(size_t base_size, size_t chunk, uint64_t ops) {
-  const uint64_t chunks = base_size / chunk;
-  return CyclicPrefix{ops / chunks, static_cast<size_t>(ops % chunks) * chunk};
-}
-
-void AddCyclic(const Stream& base, const CyclicPrefix& consumed,
-               streamfreq::ExactCounter* oracle) {
-  if (consumed.full_passes > 0) {
-    for (ItemId item : base) {
-      oracle->Add(item, static_cast<Count>(consumed.full_passes));
-    }
-  }
-  for (size_t i = 0; i < consumed.prefix; ++i) oracle->Add(base[i]);
-}
-
-std::vector<ItemId> ProbeSet(const Stream& stream, size_t window,
+std::vector<ItemId> ProbeSet(std::span<const ItemId> stream, size_t window,
                              size_t count) {
   streamfreq::ExactCounter head;
   for (size_t i = 0; i < std::min(window, stream.size()); ++i) {

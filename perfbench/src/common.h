@@ -55,11 +55,33 @@ struct OpRecord {
   bool query = false;
 };
 
-/// Items acknowledged per second of busy time: the union of the ops'
-/// intervals. Gaps between ops (checks, episode set-up) are not counted,
-/// and concurrent ops count once. Over a whole run this averages the
-/// machine's speed swings instead of picking one of them.
-double ItemsPerSecond(std::vector<OpRecord> ops);
+/// The measured ops of a run, folded in one episode at a time. Each
+/// episode's end-to-end figures are kept, and the run reports the median
+/// over its episodes: a swing in the machine's speed that lasts less than
+/// half the run moves fewer than half of them. The log grows by a few
+/// numbers per episode, not per op.
+class OpLog {
+ public:
+  /// Folds in one episode's ops, or the part of one that fell in a phase.
+  /// No op outside `ops` may overlap them in time. Busy time is the union
+  /// of their intervals: gaps between ops (checks, episode set-up) are not
+  /// counted, and concurrent ops count once.
+  void Add(std::vector<OpRecord> ops);
+
+  /// Items acknowledged per second of busy time, over every episode.
+  double ItemsPerSecond() const;
+
+  /// Per-episode figures by metric name: items_per_s, ingest_p50_us,
+  /// ingest_p90_us, query_p50_us, query_p90_us.
+  const std::map<std::string, std::vector<double>>& figures() const {
+    return figures_;
+  }
+
+ private:
+  std::map<std::string, std::vector<double>> figures_;
+  int64_t busy_ns_ = 0;
+  uint64_t items_ = 0;
+};
 
 /// Ok ops, failed ops and failed output checks. Every output check counts
 /// as one attempted op, so a failing check lowers ok_ops_frac.
@@ -98,7 +120,7 @@ class Report {
 
 /// The end-to-end metrics every workload reports from its op log, checks
 /// and set-up samples (topk_recall and peak_rss_mb are set by the caller).
-void AddEndToEnd(const std::vector<OpRecord>& ops, const Checks& checks,
+void AddEndToEnd(const OpLog& ops, const Checks& checks,
                  const std::vector<double>& setup_s, Report* report);
 
 /// The serialized form of `sketch`: equal bytes means equal sketches.
@@ -107,7 +129,8 @@ std::string SketchBytes(const streamfreq::CountSketch& sketch);
 /// Peak resident set size of this process so far, in MiB.
 double PeakRssMb();
 
-/// `n` i.i.d. Zipf(z) draws over `universe` items.
+/// `n` i.i.d. Zipf(z) draws over `universe` items. Call it before any
+/// thread starts: it forks.
 Stream ZipfStream(uint64_t universe, double z, uint64_t seed, size_t n);
 
 /// True when `answer` is a well-formed top-k answer: 1..k entries, counts
@@ -121,28 +144,16 @@ double Recall(const std::vector<ItemCount>& exact_top,
 /// Deliberate damage for the self-test: reverses a top-k answer.
 void CorruptAnswer(std::vector<ItemCount>* answer);
 
-/// Items ingested from a stream consumed cyclically in `chunk`-item ops:
-/// `ops` chunks of `base`, i.e. full passes plus a prefix.
-struct CyclicPrefix {
-  uint64_t full_passes = 0;
-  size_t prefix = 0;
-};
-CyclicPrefix CyclicConsumed(size_t base_size, size_t chunk, uint64_t ops);
-
-/// Adds the items a CyclicPrefix denotes to an exact oracle.
-void AddCyclic(const Stream& base, const CyclicPrefix& consumed,
-               streamfreq::ExactCounter* oracle);
-
 /// The `count` most frequent items of the first `window` items of
 /// `stream`: a fixed probe set, chosen before any timed region.
-std::vector<ItemId> ProbeSet(const Stream& stream, size_t window,
+std::vector<ItemId> ProbeSet(std::span<const ItemId> stream, size_t window,
                              size_t count);
 
 /// The `op`-th `chunk`-item slice of `base`, wrapping around its end.
-inline std::span<const ItemId> ChunkAt(const Stream& base, size_t chunk,
-                                       uint64_t op) {
+inline std::span<const ItemId> ChunkAt(std::span<const ItemId> base,
+                                       size_t chunk, uint64_t op) {
   const size_t chunks = base.size() / chunk;
-  return std::span<const ItemId>(base.data() + (op % chunks) * chunk, chunk);
+  return base.subspan((op % chunks) * chunk, chunk);
 }
 
 }  // namespace perfbench

@@ -94,8 +94,8 @@ int main(int argc, char** argv) {
     report.Set("peak_rss_mb", result.peak_rss_mb, "MiB");
   } else {
     PrintSelfTime(workload_tracer);
-    const double untraced = ItemsPerSecond(result.ops[0]);
-    const double traced = ItemsPerSecond(result.ops[1]);
+    const double untraced = result.ops[0].ItemsPerSecond();
+    const double traced = result.ops[1].ItemsPerSecond();
     std::printf("# items_per_s untraced %.6g traced %.6g\n", untraced, traced);
     report.Set("bench.trace_overhead_pct",
                untraced > 0 ? 100.0 * (untraced - traced) / untraced : 0.0,

@@ -33,9 +33,6 @@ class Tracer {
   /// Appends another thread's spans (re-basing their parent indices).
   void Absorb(const Tracer& other);
 
-  const std::vector<Span>& spans() const { return spans_; }
-  const std::map<std::string, double>& counts() const { return counts_; }
-
   /// Durations in nanoseconds of every span called `name`.
   std::vector<double> Durations(const std::string& name) const;
   /// Summed duration in nanoseconds of every span called `name`.
@@ -65,8 +62,6 @@ class ScopedSpan {
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  int64_t index() const { return index_; }
 
  private:
   Tracer* tracer_;

@@ -71,13 +71,13 @@ void RunTreeLowSkew(const Args& args, Tracer* tracer, WorkloadResult* result) {
   // One Zipf stream cut into contiguous leaf streams: one item labelling
   // fleet-wide, so the global top-100 is shared by every leaf.
   constexpr size_t kLeafItems = kChunk * kWaves;
-  const Stream whole =
+  result->input =
       ZipfStream(kUniverse, kZipfZ, args.seed, kLeaves * kLeafItems);
   for (uint64_t leaf = 0; leaf < kLeaves; ++leaf) {
-    result->streams.emplace_back(whole.begin() + leaf * kLeafItems,
-                                 whole.begin() + (leaf + 1) * kLeafItems);
+    result->streams.push_back(std::span<const ItemId>(result->input)
+                                  .subspan(leaf * kLeafItems, kLeafItems));
   }
-  const std::vector<Stream>& streams = result->streams;
+  const std::vector<std::span<const ItemId>>& streams = result->streams;
   LayerConfig& layers = result->layers;
   layers.params = TreeParams();
   layers.tracked = kTracked;
@@ -114,12 +114,14 @@ void RunTreeLowSkew(const Args& args, Tracer* tracer, WorkloadResult* result) {
   };
 
   const std::vector<Phase> phases = PhasesFor(args);
-  result->ops.assign(2, {});
   uint64_t op = 0;
-  auto run_until = [&](double seconds, Tracer* t, std::vector<OpRecord>* log) {
+  std::vector<OpRecord> episode_ops;  // this episode's, in this phase
+  auto run_until = [&](double seconds, Tracer* t, OpLog* log) {
     const int64_t deadline = NowNs() + static_cast<int64_t>(seconds * 1e9);
     while (NowNs() < deadline) {
       if (wave == kWaves) {
+        if (log != nullptr) log->Add(std::move(episode_ops));
+        episode_ops.clear();
         check_episode();
         full_answer = last_answer;
         ++full_episodes;
@@ -165,11 +167,11 @@ void RunTreeLowSkew(const Args& args, Tracer* tracer, WorkloadResult* result) {
       if (args.corrupt) CorruptAnswer(&checked);
       result->checks.Op(WellFormedTopK(checked, kTopK));
       ++op;
-      if (log != nullptr) {
-        log->push_back(wave_rec);
-        log->push_back(query_rec);
-      }
+      episode_ops.push_back(wave_rec);
+      episode_ops.push_back(query_rec);
     }
+    if (log != nullptr) log->Add(std::move(episode_ops));
+    episode_ops.clear();
   };
   run_until(WarmupSeconds(args), nullptr, nullptr);
   for (const Phase& phase : phases) {
@@ -187,7 +189,7 @@ void RunTreeLowSkew(const Args& args, Tracer* tracer, WorkloadResult* result) {
   // identical); a run too short for one scores its partial episode.
   streamfreq::ExactCounter oracle;
   if (full_episodes > 0) {
-    for (const Stream& s : streams) oracle.AddAll(s);
+    oracle.AddAll(result->input);
   } else {
     for (uint64_t leaf : topo.leaves) oracle.AddAll(sim->LeafIngested(leaf));
     full_answer = last_answer;

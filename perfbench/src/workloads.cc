@@ -27,7 +27,7 @@ streamfreq::TenantSpec BenchTenantSpec(
   spec.threads = 2;
   spec.batch_items = 1024;
   spec.queue_batches = 64;
-  spec.publish_every_batches = 1024;
+  spec.publish_every_batches = 32;
   spec.policy = streamfreq::OverflowPolicy::kBlock;
   spec.tracked = tracked;
   return spec;

@@ -4,10 +4,11 @@
 // region, sets itself up several times (setup_s is the median), warms up,
 // then measures for `seconds`: as one untraced phase, or in the traced run
 // as alternating untraced and traced slices (the difference in their
-// items_per_s is the tracing overhead). Output checks run after the timed
-// loop and count as ops.
+// items_per_s is the tracing overhead). A run is a sequence of episodes of
+// fixed work; output checks run untimed after each one and count as ops.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -34,10 +35,11 @@ double WarmupSeconds(const Args& args);
 
 /// The tenant configuration of serve-zipf, and of every layer replay of
 /// the ingestor and the server: two ingest threads, 1024-item queued
-/// batches, blocking admission. Snapshots publish every 1024 queued batches:
-/// the ingestor's SnapshotCell retains every publication until the tenant
-/// is dropped, and at the TenantSpec default of 1 a serve-zipf tenant grows
-/// by one sketch copy per request (gigabytes within seconds).
+/// batches, blocking admission. Each worker publishes a snapshot every 32
+/// queued batches, so a topk reads state at most a few tens of thousands
+/// of items old. The ingestor's SnapshotCell retains every publication
+/// until the tenant is dropped: at the TenantSpec default of one per
+/// batch, a tenant holds a 160 KiB sketch copy per 512-item request.
 streamfreq::TenantSpec BenchTenantSpec(
     const streamfreq::CountSketchParams& params, size_t tracked);
 
@@ -53,13 +55,15 @@ struct LayerConfig {
 
 struct WorkloadResult {
   /// ops[0] = untraced op log; ops[1] = traced op log (empty untraced).
-  std::vector<std::vector<OpRecord>> ops;
+  std::array<OpLog, 2> ops;
   std::vector<double> setup_s;
   double peak_rss_mb = 0;
   double topk_recall = 0;
   Checks checks;
-  /// Streams the workload generated; LayerConfig::batches view into them.
-  std::vector<Stream> streams;
+  /// The input the workload generated, held once: `streams` (one per
+  /// client or leaf) and LayerConfig::batches are views into it.
+  Stream input;
+  std::vector<std::span<const ItemId>> streams;
   LayerConfig layers;
 };
 
