@@ -38,6 +38,7 @@
 #include "concurrent/parallel_ingestor.h"
 #include "core/count_min.h"
 #include "core/count_sketch.h"
+#include "core/space_saving.h"
 #include "eval/suite.h"
 #include "eval/workload.h"
 #include "hash/batch_hash.h"
@@ -177,6 +178,31 @@ void BM_CountSketchBatchAdd(benchmark::State& state) {
                           static_cast<int64_t>(batch));
 }
 BENCHMARK(BM_CountSketchBatchAdd)->Arg(256)->Arg(4096)->Arg(65536);
+
+// Space-Saving BatchAdd (one merge-and-select pass per batch) at
+// (capacity, batch): the server's tracker geometry, the merge-tree leaf
+// geometry, and one-item batches, where the O(capacity) selection per
+// batch dominates. Recorded in BENCH_throughput.json.
+void BM_SpaceSavingBatchAdd(benchmark::State& state) {
+  auto summary = SpaceSaving::Make(static_cast<size_t>(state.range(0)));
+  SFQ_CHECK_OK(summary.status());
+  const Workload& w = SharedWorkload();
+  const size_t batch = static_cast<size_t>(state.range(1));
+  size_t offset = 0;
+  for (auto _ : state) {
+    const size_t take = std::min(batch, w.stream.size() - offset);
+    summary->BatchAdd(std::span<const ItemId>(w.stream.data() + offset, take));
+    offset = offset + take == w.stream.size() ? 0 : offset + take;
+  }
+  benchmark::DoNotOptimize(*summary);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(batch));
+  state.SetLabel(summary->Name());
+}
+BENCHMARK(BM_SpaceSavingBatchAdd)
+    ->Args({128, 512})
+    ->Args({512, 4096})
+    ->Args({4096, 1});
 
 // Scalar-vs-SIMD BatchAdd, per hash family — the rows recorded in
 // BENCH_throughput.json and regression-gated by tools/bench_gate.py. One

@@ -1,23 +1,25 @@
 // Space-Saving (Metwally, Agrawal, El Abbadi 2005): the strongest
 // counter-based competitor in the frequent-items literature.
 //
-// Maintains exactly `capacity` (item, count, error) triples. A monitored
+// Maintains at most `capacity` (item, count, error) triples. A monitored
 // arrival increments its count. An unmonitored arrival replaces the
 // minimum-count entry: the newcomer inherits count min+w with error = min.
 // Guarantees, with c = capacity:
 //   * count overestimates: n_q <= count(q) <= n_q + min_count,
-//   * every item with n_q > n/c is monitored, and
+//   * count - error underestimates: count(q) - error(q) <= n_q,
+//   * every item with n_q > min_count (hence every n_q > n/c) is monitored,
 //   * min_count <= n / c.
-// Implemented over a binary min-heap with an item -> heap-slot index so
-// increment and replace are O(log c); a doubly-linked "stream summary"
-// yields O(1) for unit updates but the heap supports weighted updates
-// uniformly (throughput difference is measured in E7).
+// Add, the paper's item-at-a-time update, runs over a binary min-heap in
+// O(log c); a doubly-linked "stream summary" yields O(1) for unit updates
+// but the heap supports weighted updates uniformly (throughput difference
+// is measured in E7). BatchAdd and Merge instead merge their input into the
+// summary and keep the top c in one linear-time selection. An
+// open-addressed item -> heap-slot index serves both.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/frequent.h"
@@ -48,12 +50,17 @@ class SpaceSaving final : public StreamSummary {
   void Add(ItemId item, Count weight) override;
   using StreamSummary::Add;
 
-  /// Batch arrival: aggregates duplicate items locally, then applies one
-  /// weighted Add per distinct item. On skewed batches this collapses most
-  /// heap operations into a handful of weighted updates. Equivalent to a
-  /// reordered ingest of the batch, so all Space-Saving guarantees hold
-  /// (they are order-independent), but the summary state may differ from
-  /// item-at-a-time ingestion.
+  /// Batch arrival, applied as Merge's rule against the batch's exact
+  /// counts (whose MinCount is 0): a monitored item adds its multiplicity
+  /// w, an unmonitored one enters at MinCount() + w with error MinCount(),
+  /// and the top `capacity` entries by (count desc, item asc) are kept.
+  /// O(d + c) for d distinct items in the batch. The resulting entry set
+  /// depends only on the summary's entry set and the batch's multiset, not
+  /// on the order within the batch or on heap layout. Every guarantee in the
+  /// header holds; the kept counts sum to at most n (exactly n under Add).
+  /// The state may differ from item-at-a-time ingestion of the same batch.
+  /// The summary's scratch grows to fit the largest batch seen and is
+  /// kept for later batches.
   void BatchAdd(std::span<const ItemId> items) override;
 
   /// Upper-bound estimate: the count when monitored, else the minimum count
@@ -78,9 +85,10 @@ class SpaceSaving final : public StreamSummary {
   /// (mergeable-summaries construction): for every item monitored by
   /// either side, the merged count/error add the other side's value when
   /// monitored there, else its MinCount (the tightest upper bound it can
-  /// certify); the top `capacity` entries by count are kept. The merged
-  /// counts remain upper bounds on union counts and count - error remains
-  /// a lower bound. Requires equal capacities.
+  /// certify); the top `capacity` entries by (count desc, item asc) are
+  /// kept. The merged counts remain upper bounds on union counts and
+  /// count - error remains a lower bound. Requires equal capacities. Runs
+  /// the same merge-and-select kernel as BatchAdd, in O(c).
   Status Merge(const SpaceSaving& other);
 
   /// Every monitored triple in unspecified order (heap order). Pair with
@@ -106,13 +114,44 @@ class SpaceSaving final : public StreamSummary {
     Count error;
   };
 
+  /// One bucket of the item -> heap-slot index; `slot == kFree` marks an
+  /// empty bucket.
+  struct IndexEntry {
+    ItemId item;
+    size_t slot;
+  };
+  static constexpr size_t kFree = ~size_t{0};
+
+  /// Home bucket of `item` in the index.
+  size_t Home(ItemId item) const;
+  /// The bucket holding `item`, or the free bucket ending its probe.
+  size_t BucketOf(ItemId item) const;
+  /// Removes `item` from the index (backward-shift deletion).
+  void Unindex(ItemId item);
+  /// Grows the index, if needed, to hold `entries` items.
+  void GrowIndex(size_t entries);
+  /// Grows heap_ by `incoming` scratch slots and the index to hold them;
+  /// the kernels below never allocate.
+  void Reserve(size_t incoming);
+
+  // The merge-and-select kernel: Absorb applies Merge's rule to one
+  // incoming (item, count, error), appending newcomers at heap_[n];
+  // Select keeps the top capacity_ of heap_[0, n) and rebuilds the heap
+  // and the index. Both return / update the live entry count.
+  void Absorb(ItemId item, Count count, Count error, Count floor, size_t& n);
+  size_t MergeBatch(std::span<const ItemId> items, size_t n, Count floor);
+  size_t MergeEntries(std::span<const Slot> other, Count other_min, size_t n,
+                      Count floor);
+  size_t Select(size_t n);
+
   void SiftDown(size_t i);
   void SiftUp(size_t i);
   void SwapSlots(size_t i, size_t j);
 
   size_t capacity_;
-  std::vector<Slot> heap_;                      // min-heap by count
-  std::unordered_map<ItemId, size_t> position_; // item -> heap index
+  std::vector<Slot> heap_;         // min-heap by count
+  std::vector<IndexEntry> index_;  // open-addressed, power-of-two size
+  int index_shift_ = 64;           // 64 - log2(index_.size())
 };
 
 }  // namespace streamfreq

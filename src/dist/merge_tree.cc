@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <set>
 #include <utility>
 
 #include "server/protocol.h"
@@ -10,10 +9,9 @@
 
 namespace streamfreq {
 
-MergeTreeSim::MergeTreeSim(TreeTopology topo, CountSketch zero, size_t tracked)
+MergeTreeSim::MergeTreeSim(TreeTopology topo, CountSketch zero)
     : topo_(std::move(topo)),
       params_(zero.params()),
-      tracked_(tracked),
       epoch_(zero),
       bottom_up_(topo_.BottomUpOrder()) {
   nodes_.reserve(topo_.size());
@@ -30,7 +28,7 @@ Result<MergeTreeSim> MergeTreeSim::Make(TreeTopology topology,
     return Status::InvalidArgument("tracked candidate capacity must be >= 1");
   }
   STREAMFREQ_ASSIGN_OR_RETURN(CountSketch zero, CountSketch::Make(params));
-  MergeTreeSim sim(std::move(topology), std::move(zero), tracked);
+  MergeTreeSim sim(std::move(topology), std::move(zero));
   for (uint64_t leaf : sim.topo_.leaves) {
     STREAMFREQ_ASSIGN_OR_RETURN(SpaceSaving tracker,
                                 SpaceSaving::Make(tracked));
@@ -107,17 +105,19 @@ std::vector<CoverageEntry> MergeTreeSim::CoveredSnapshot(uint64_t node) const {
 }
 
 std::vector<ItemId> MergeTreeSim::CandidateUnion(uint64_t node) const {
-  std::set<ItemId> ids;
+  std::vector<ItemId> ids;
   const Node& n = nodes_[node];
   if (n.tracker.has_value()) {
-    for (const ItemCount& c : n.tracker->Candidates(tracked_)) {
-      ids.insert(c.item);
+    for (const SpaceSavingEntry& e : n.tracker->Entries()) {
+      ids.push_back(e.item);
     }
   }
   for (const auto& [child, cands] : n.child_candidates) {
-    ids.insert(cands.begin(), cands.end());
+    ids.insert(ids.end(), cands.begin(), cands.end());
   }
-  return std::vector<ItemId>(ids.begin(), ids.end());
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
 }
 
 bool MergeTreeSim::FinalReady(uint64_t node) const {

@@ -156,10 +156,10 @@ class MergeTreeSim {
     std::map<uint64_t, DeltaReceiver> receivers;  ///< per child
   };
 
-  MergeTreeSim(TreeTopology topo, CountSketch zero, size_t tracked);
+  MergeTreeSim(TreeTopology topo, CountSketch zero);
 
-  /// The candidate union `node` would ship upward (own tracker top-k plus
-  /// every child's last snapshot), sorted and deduped.
+  /// The candidate union `node` would ship upward (every item its own
+  /// tracker monitors plus every child's last snapshot), sorted and deduped.
   std::vector<ItemId> CandidateUnion(uint64_t node) const;
   std::vector<CoverageEntry> CoveredSnapshot(uint64_t node) const;
   bool FinalReady(uint64_t node) const;
@@ -172,7 +172,6 @@ class MergeTreeSim {
 
   TreeTopology topo_;
   CountSketchParams params_;
-  size_t tracked_;
   std::vector<Node> nodes_;
   CountSketch epoch_;
   std::vector<uint64_t> bottom_up_;

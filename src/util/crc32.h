@@ -1,6 +1,8 @@
-// CRC-32C (Castagnoli) checksums for on-disk integrity of sketch and trace
-// files. Software slice-by-one implementation — file I/O here is not a hot
-// path, and the polynomial matches what RocksDB/LevelDB use, including the
+// CRC-32C (Castagnoli) checksums for every framed byte the system writes or
+// sends: RPC and delta frames, WAL records, and sketch and trace files.
+// That puts it on the ingest and delta-shipping paths, so it is a portable
+// slice-by-8 table implementation (eight bytes per step, no ISA-specific
+// code). The polynomial matches what RocksDB/LevelDB use, including the
 // same masking trick for checksums-of-checksums.
 #pragma once
 

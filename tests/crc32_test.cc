@@ -2,11 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 namespace streamfreq {
 namespace crc32c {
 namespace {
+
+// Bit-at-a-time CRC-32C straight from the reflected polynomial: the
+// reference the table-driven Extend must match bit for bit.
+uint32_t ReferenceExtend(uint32_t crc, const unsigned char* p, size_t n) {
+  uint32_t state = crc ^ 0xFFFFFFFFU;
+  for (size_t i = 0; i < n; ++i) {
+    state ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      state = (state & 1) ? (state >> 1) ^ 0x82F63B78U : state >> 1;
+    }
+  }
+  return state ^ 0xFFFFFFFFU;
+}
 
 TEST(Crc32cTest, KnownVectors) {
   // Standard CRC-32C test vectors (RFC 3720 appendix / common test suites).
@@ -24,6 +39,31 @@ TEST(Crc32cTest, ExtendMatchesWholeBuffer) {
   incremental = Extend(incremental, data.data(), 10);
   incremental = Extend(incremental, data.data() + 10, data.size() - 10);
   EXPECT_EQ(incremental, whole);
+}
+
+TEST(Crc32cTest, MatchesReferenceAtEveryLengthAlignmentAndSplit) {
+  constexpr size_t kMaxLen = 256;
+  constexpr size_t kAlignments = 8;
+  std::vector<unsigned char> buffer(kMaxLen + kAlignments);
+  uint64_t x = 0x9E3779B97F4A7C15ULL;
+  for (unsigned char& byte : buffer) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    byte = static_cast<unsigned char>(x);
+  }
+  for (size_t align = 0; align < kAlignments; ++align) {
+    const unsigned char* data = buffer.data() + align;
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const uint32_t want = ReferenceExtend(0, data, len);
+      ASSERT_EQ(Value(data, len), want) << "len " << len << " align " << align;
+      for (size_t split = 0; split <= len; ++split) {
+        const uint32_t head = Extend(0, data, split);
+        ASSERT_EQ(Extend(head, data + split, len - split), want)
+            << "len " << len << " align " << align << " split " << split;
+      }
+    }
+  }
 }
 
 TEST(Crc32cTest, DetectsSingleBitFlip) {

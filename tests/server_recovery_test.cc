@@ -647,5 +647,87 @@ TEST(ServiceRecoveryTest, DuplicateJournalRecordsAreDedupedOnReplay) {
   EXPECT_EQ(got_bytes, want_bytes);
 }
 
+TEST(ServiceRecoveryTest, RecoveredCandidatesMatchAnUninterruptedTenant) {
+  // Sequential ingests cross several snapshots and the crash leaves a
+  // journal tail, so recovery restores the candidate triples from a
+  // snapshot and replays the tail through BatchAdd. The recovered tenant
+  // must then hold exactly the candidates, and give exactly the topk, of
+  // a tenant that never went down.
+  ServiceOptions crashed;
+  crashed.data_dir = TempDir("svc_cands_crashed");
+  crashed.fsync = WalFsync::kNever;
+  crashed.snapshot_every_items = 1200;
+  ServiceOptions steady = crashed;
+  steady.data_dir = TempDir("svc_cands_steady");
+
+  // Many more distinct items than TestSpec().tracked, so batches evict.
+  std::vector<std::vector<ItemId>> requests;
+  uint64_t x = 12345;
+  for (int r = 0; r < 14; ++r) {
+    std::vector<ItemId> items;
+    for (int i = 0; i < 400; ++i) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      const uint64_t u = x >> 40;  // 24 random bits
+      items.push_back(u % 7 == 0 ? u % 5 : u % 3000);
+    }
+    requests.push_back(std::move(items));
+  }
+  constexpr size_t kBeforeCrash = 11;
+
+  SketchService reference(steady);
+  ASSERT_TRUE(reference.Recover().ok());
+  ASSERT_TRUE(Handle1(reference, Opcode::kCreateTenant, "t").ok());
+  for (const std::vector<ItemId>& items : requests) {
+    ASSERT_TRUE(Handle1(reference, Opcode::kIngest, "t", items).ok());
+  }
+  {
+    SketchService svc(crashed);
+    ASSERT_TRUE(svc.Recover().ok());
+    ASSERT_TRUE(Handle1(svc, Opcode::kCreateTenant, "t").ok());
+    for (size_t r = 0; r < kBeforeCrash; ++r) {
+      ASSERT_TRUE(Handle1(svc, Opcode::kIngest, "t", requests[r]).ok());
+    }
+  }  // dies without sealing
+
+  SketchService svc(crashed);
+  ASSERT_TRUE(svc.Recover().ok());
+  ASSERT_TRUE(svc.recovery_failures().empty());
+  const Response info = Handle1(svc, Opcode::kRecoveryInfo, "t");
+  ASSERT_TRUE(info.ok()) << info.message;
+  EXPECT_EQ(info.blob.find("\"snapshot_seqno\":0,"), std::string::npos)
+      << "recovery must start from a snapshot: " << info.blob;
+  EXPECT_EQ(info.blob.find("\"replayed_records\":0,"), std::string::npos)
+      << "recovery must replay a journal tail: " << info.blob;
+  for (size_t r = kBeforeCrash; r < requests.size(); ++r) {
+    ASSERT_TRUE(Handle1(svc, Opcode::kIngest, "t", requests[r]).ok());
+  }
+
+  // Sealed, both tenants answer from the exact final sketch.
+  ASSERT_TRUE(Handle1(reference, Opcode::kSeal, "t").ok());
+  ASSERT_TRUE(Handle1(svc, Opcode::kSeal, "t").ok());
+  for (const uint64_t k : {uint64_t{5}, uint64_t{TestSpec().tracked}}) {
+    Request topk;
+    topk.op = Opcode::kTopK;
+    topk.tenant = "t";
+    topk.k = k;
+    const Response want = reference.Handle(topk);
+    const Response got = svc.Handle(topk);
+    ASSERT_TRUE(want.ok() && got.ok());
+    EXPECT_EQ(got.entries, want.entries) << "topk " << k;
+  }
+
+  // Sealing wrote each tenant's candidate triples into its snapshot.
+  const size_t tracked = TestSpec().tracked;
+  auto recovered = TenantStore::Open(crashed.data_dir + "/t",
+                                     WalFsync::kNever, 1 << 20);
+  auto uninterrupted = TenantStore::Open(steady.data_dir + "/t",
+                                         WalFsync::kNever, 1 << 20);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().ToString();
+  EXPECT_EQ(recovered->candidates.MonitoredCount(), tracked);
+  EXPECT_EQ(recovered->candidates.Candidates(tracked),
+            uninterrupted->candidates.Candidates(tracked));
+}
+
 }  // namespace
 }  // namespace streamfreq
