@@ -101,6 +101,8 @@ fi
 cmake -B build "${GEN[@]}" -DCMAKE_BUILD_TYPE=Release
 cmake --build build
 ctest --test-dir build --output-on-failure
+# The registered-test count: the figure a change record should quote.
+echo "ctest: $(ctest --test-dir build -N | sed -n 's/^Total Tests: //p') tests registered"
 
 # Race check: src/concurrent/ and the batch paths must stay TSan-clean.
 # Separate build tree (TSan is ABI-incompatible with the normal build);

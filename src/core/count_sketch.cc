@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 
 #include "hash/random.h"
 #include "util/bytes.h"
@@ -293,6 +294,23 @@ Result<CountSketch> CountSketch::Deserialize(std::string_view data) {
     }
   }
   return sketch;
+}
+
+std::vector<ItemCount> RankCandidates(std::span<const ItemId> ids,
+                                      const CountSketch& sketch, size_t k,
+                                      bool absolute) {
+  std::vector<ItemCount> out;
+  out.reserve(ids.size());
+  for (ItemId id : ids) out.push_back(ItemCount{id, sketch.Estimate(id)});
+  std::sort(out.begin(), out.end(),
+            [absolute](const ItemCount& a, const ItemCount& b) {
+              const int64_t ka = absolute ? std::llabs(a.count) : a.count;
+              const int64_t kb = absolute ? std::llabs(b.count) : b.count;
+              if (ka != kb) return ka > kb;
+              return a.item < b.item;
+            });
+  if (out.size() > k) out.resize(k);
+  return out;
 }
 
 }  // namespace streamfreq

@@ -28,6 +28,7 @@
 #include "core/counter_matrix.h"
 #include "hash/batch_hash.h"
 #include "hash/pairwise.h"
+#include "stream/exact_counter.h"
 #include "stream/types.h"
 #include "util/result.h"
 
@@ -176,5 +177,12 @@ class CountSketch {
   // logical row-major order, so the wire format is unchanged.
   CounterMatrix counters_;
 };
+
+/// Scores each of `ids` on `sketch` and returns the best `k`, ordered by
+/// estimate descending (by |estimate| when `absolute`, for max-change on a
+/// difference sketch), ties toward the smaller id.
+std::vector<ItemCount> RankCandidates(std::span<const ItemId> ids,
+                                      const CountSketch& sketch, size_t k,
+                                      bool absolute);
 
 }  // namespace streamfreq

@@ -9,10 +9,10 @@
 #include <cstdlib>
 #include <map>
 #include <optional>
-#include <set>
+#include <span>
 #include <utility>
 
-#include "core/space_saving.h"
+#include "dist/node.h"
 #include "server/net.h"
 #include "stream/zipf.h"
 
@@ -25,136 +25,46 @@ std::string SocketPath(const std::string& dir, uint64_t node) {
   return dir + "/node-" + std::to_string(node) + ".sock";
 }
 
-// Shared node-side aggregation state: the same fields MergeTreeSim keeps
-// per node, minus the failpoints (the sim owns fault injection; this is
-// the straight-line deployment of the identical wire protocol).
-struct NodeState {
-  explicit NodeState(CountSketch zero) : acc(std::move(zero)) {}
-
-  CountSketch acc;
-  DistLedger own;
-  std::map<uint64_t, DistLedger> child_ledgers;
-  std::map<uint64_t, uint64_t> covered;
-  std::map<uint64_t, std::vector<ItemId>> child_candidates;
-  std::map<uint64_t, DeltaReceiver> receivers;
-  uint64_t deltas_applied = 0;
-  uint64_t delta_dedups = 0;
-
-  DistLedger Total() const {
-    DistLedger t = own;
-    for (const auto& [child, ledger] : child_ledgers) t += ledger;
-    return t;
-  }
-
-  std::vector<CoverageEntry> CoveredSnapshot() const {
-    std::vector<CoverageEntry> out;
-    out.reserve(covered.size());
-    for (const auto& [leaf, count] : covered) {
-      out.push_back(CoverageEntry{leaf, count});
-    }
-    return out;
-  }
-
-  std::vector<ItemId> CandidateUnion() const {
-    std::set<ItemId> ids;
-    for (const auto& [child, cands] : child_candidates) {
-      ids.insert(cands.begin(), cands.end());
-    }
-    return std::vector<ItemId>(ids.begin(), ids.end());
-  }
-
-  /// Applies one decoded delta from `child` (or dedups it) and returns the
-  /// cumulative ack seqno.
-  Result<uint64_t> Apply(uint64_t child, const DeltaPayload& delta) {
-    DeltaReceiver& recv = receivers[child];
-    bool duplicate = false;
-    STREAMFREQ_RETURN_NOT_OK(recv.Classify(delta.seqno, &duplicate));
-    if (duplicate) {
-      recv.CountDuplicate();
-      ++delta_dedups;
-      return recv.last_applied();
-    }
-    STREAMFREQ_ASSIGN_OR_RETURN(CountSketch delta_sketch,
-                                CountSketch::Deserialize(delta.sketch_blob));
-    STREAMFREQ_RETURN_NOT_OK(acc.Merge(delta_sketch));
-    child_ledgers[child] += delta.ledger;
-    for (const CoverageEntry& c : delta.covered) {
-      uint64_t& cur = covered[c.leaf_id];
-      if (c.count < cur) {
-        return Status::Corruption("coverage watermark moved backwards");
-      }
-      cur = c.count;
-    }
-    child_candidates[child] = delta.candidates;
-    recv.Applied(delta.seqno);
-    ++deltas_applied;
-    return recv.last_applied();
-  }
-};
-
-/// Blocking ship of one delta (if there is one) over `up_fd`, waiting for
-/// and folding the cumulative ack.
-Status ShipAndAck(DeltaChannel* channel, int up_fd, const CountSketch& acc,
-                  const DistLedger& ledger,
-                  const std::vector<CoverageEntry>& covered,
-                  const std::vector<ItemId>& candidates, bool final_flag) {
-  STREAMFREQ_ASSIGN_OR_RETURN(
-      std::optional<std::string> payload,
-      channel->Ship(acc, ledger, covered, candidates, final_flag));
+/// Blocking ship of `self`'s next delta (if there is one) over `up_fd`,
+/// waiting for and folding the cumulative ack.
+Status ShipAndAck(FleetNode* self, int up_fd, bool final_flag) {
+  STREAMFREQ_ASSIGN_OR_RETURN(std::optional<std::string> payload,
+                              self->NextUplink(final_flag));
   if (!payload.has_value()) return Status::OK();
   STREAMFREQ_RETURN_NOT_OK(SendFrame(up_fd, *payload));
   STREAMFREQ_ASSIGN_OR_RETURN(std::string ack_frame, RecvFrame(up_fd));
   STREAMFREQ_ASSIGN_OR_RETURN(uint64_t ack, DecodeAck(ack_frame));
-  return channel->Acked(ack);
+  return self->Acked(ack);
 }
 
 /// Leaf worker: ingest the seeded substream in delta_every chunks, shipping
 /// after each, final flag on the last.
 Status RunWorker(const AggregateOptions& options, const TreeTopology& topo,
-                 uint64_t node, uint64_t leaf_index) {
+                 FleetNode* self, uint64_t leaf_index) {
   STREAMFREQ_ASSIGN_OR_RETURN(std::vector<ItemId> items,
                               WorkerStreamItems(options, leaf_index));
-  STREAMFREQ_ASSIGN_OR_RETURN(CountSketch acc,
-                              CountSketch::Make(options.params));
-  STREAMFREQ_ASSIGN_OR_RETURN(SpaceSaving tracker,
-                              SpaceSaving::Make(options.tracked));
-  DeltaChannel channel(node, acc);  // acc is still zero: the empty base
   STREAMFREQ_ASSIGN_OR_RETURN(
       OwnedFd up, ConnectUnix(SocketPath(options.socket_dir,
-                                         topo.parent[node])));
-  DistLedger ledger;
+                                         topo.parent[self->id()])));
   const uint64_t step = std::max<uint64_t>(1, options.delta_every);
   for (uint64_t off = 0; off < items.size() || off == 0;) {
-    const uint64_t n =
-        std::min<uint64_t>(step, items.size() - off);
-    const std::span<const ItemId> chunk(items.data() + off, n);
-    acc.BatchAdd(chunk);
-    tracker.BatchAdd(chunk);
-    ledger.offered += n;
-    ledger.ingested += n;
+    const uint64_t n = std::min<uint64_t>(step, items.size() - off);
+    self->Admit(std::span<const ItemId>(items.data() + off, n), n);
     off += n;
-    std::vector<CoverageEntry> cov = {CoverageEntry{node, off}};
-    std::vector<ItemId> cands;
-    for (const ItemCount& c : tracker.Candidates(options.tracked)) {
-      cands.push_back(c.item);
-    }
-    std::sort(cands.begin(), cands.end());
-    STREAMFREQ_RETURN_NOT_OK(ShipAndAck(&channel, up.get(), acc, ledger, cov,
-                                        cands, /*final=*/off >= items.size()));
+    STREAMFREQ_RETURN_NOT_OK(
+        ShipAndAck(self, up.get(), /*final_flag=*/off >= items.size()));
     if (off >= items.size()) break;
   }
   return Status::OK();
 }
 
-/// Interior relay (and, with up_fd < 0, the root): accept every child,
+/// Interior relay (and the root, which has no uplink): accept every child,
 /// apply/ack their deltas, forward upward after each apply, tear down when
 /// every child hung up after its final delta.
 Status RunRelay(const AggregateOptions& options, const TreeTopology& topo,
-                uint64_t node, OwnedFd listener, NodeState* state) {
+                OwnedFd listener, FleetNode* self) {
+  const uint64_t node = self->id();
   const std::vector<uint64_t>& children = topo.children[node];
-  STREAMFREQ_ASSIGN_OR_RETURN(CountSketch zero,
-                              CountSketch::Make(options.params));
-  DeltaChannel channel(node, zero);
   OwnedFd up;
   if (node != 0) {
     STREAMFREQ_ASSIGN_OR_RETURN(
@@ -194,22 +104,17 @@ Status RunRelay(const AggregateOptions& options, const TreeTopology& topo,
         return frame.status();
       }
       STREAMFREQ_ASSIGN_OR_RETURN(DeltaPayload delta, DecodeDelta(*frame));
-      STREAMFREQ_ASSIGN_OR_RETURN(uint64_t ack,
-                                  state->Apply(delta.node_id, delta));
+      bool applied = false;
+      STREAMFREQ_ASSIGN_OR_RETURN(uint64_t ack, self->Apply(delta, &applied));
       STREAMFREQ_RETURN_NOT_OK(SendFrame(conns[i].get(), EncodeAck(ack)));
       if (node != 0) {
         STREAMFREQ_RETURN_NOT_OK(
-            ShipAndAck(&channel, up.get(), state->acc, state->Total(),
-                       state->CoveredSnapshot(), state->CandidateUnion(),
-                       /*final=*/false));
+            ShipAndAck(self, up.get(), /*final_flag=*/false));
       }
     }
   }
   if (node != 0) {
-    STREAMFREQ_RETURN_NOT_OK(
-        ShipAndAck(&channel, up.get(), state->acc, state->Total(),
-                   state->CoveredSnapshot(), state->CandidateUnion(),
-                   /*final=*/true));
+    STREAMFREQ_RETURN_NOT_OK(ShipAndAck(self, up.get(), /*final_flag=*/true));
   }
   return Status::OK();
 }
@@ -245,33 +150,29 @@ Result<AggregateReport> RunAggregate(const AggregateOptions& options) {
         OwnedFd fd, ListenUnix(SocketPath(options.socket_dir, u)));
     listeners[u] = std::move(fd);
   }
+  STREAMFREQ_ASSIGN_OR_RETURN(CountSketch zero,
+                              CountSketch::Make(options.params));
+  STREAMFREQ_ASSIGN_OR_RETURN(FleetNode root,
+                              FleetNode::Make(topo, 0, zero, options.tracked));
   std::vector<pid_t> pids;
   for (uint64_t u = 1; u < topo.size(); ++u) {
     const pid_t pid = ::fork();
     if (pid < 0) return Status::IoError("fork failed");
     if (pid == 0) {
       // Child: keep only this node's listener; drop the rest.
-      Status s;
-      if (topo.is_leaf(u)) {
-        listeners.clear();
-        s = RunWorker(options, topo, u, leaf_index[u]);
-      } else {
-        OwnedFd mine = std::move(listeners[u]);
-        listeners.clear();
-        auto zero = CountSketch::Make(options.params);
-        if (!zero.ok()) std::_Exit(3);
-        NodeState state(std::move(*zero));
-        s = RunRelay(options, topo, u, std::move(mine), &state);
+      OwnedFd mine = std::move(listeners[u]);
+      listeners.clear();
+      Result<FleetNode> self = FleetNode::Make(topo, u, zero, options.tracked);
+      Status s = self.status();
+      if (s.ok()) {
+        s = topo.is_leaf(u) ? RunWorker(options, topo, &*self, leaf_index[u])
+                            : RunRelay(options, topo, std::move(mine), &*self);
       }
       std::_Exit(s.ok() ? 0 : 3);
     }
     pids.push_back(pid);
   }
-  STREAMFREQ_ASSIGN_OR_RETURN(CountSketch zero,
-                              CountSketch::Make(options.params));
-  NodeState root(std::move(zero));
-  Status root_status = RunRelay(options, topo, 0, std::move(listeners[0]),
-                                &root);
+  Status root_status = RunRelay(options, topo, std::move(listeners[0]), &root);
   listeners.clear();
   bool child_failed = false;
   for (pid_t pid : pids) {
@@ -294,21 +195,11 @@ Result<AggregateReport> RunAggregate(const AggregateOptions& options) {
   report.nodes = topo.size();
   report.depth = topo.max_depth();
   report.leaves = topo.leaves.size();
-  report.ledger = root.Total();
-  report.covered = root.CoveredSnapshot();
-  report.deltas_applied = root.deltas_applied;
-  report.delta_dedups = root.delta_dedups;
-  std::vector<ItemId> cands = root.CandidateUnion();
-  report.topk.reserve(cands.size());
-  for (ItemId id : cands) {
-    report.topk.push_back(ItemCount{id, root.acc.Estimate(id)});
-  }
-  std::sort(report.topk.begin(), report.topk.end(),
-            [](const ItemCount& a, const ItemCount& b) {
-              if (a.count != b.count) return a.count > b.count;
-              return a.item < b.item;
-            });
-  if (report.topk.size() > options.topk) report.topk.resize(options.topk);
+  report.ledger = root.TotalLedger();
+  report.covered = root.Coverage();
+  report.deltas_applied = root.deltas_applied();
+  report.delta_dedups = root.delta_dedups();
+  report.topk = root.ApproxTop(options.topk);
   if (!report.ledger.ConservationHolds()) {
     return Status::Internal("root ledger violates conservation");
   }

@@ -1,20 +1,20 @@
-// Process-backed merge-tree aggregation: the deployment behind
+// The socket transport for the merge tree: the deployment behind
 // `sfq aggregate --workers N --fanout F`.
 //
 // The CLI process hosts the ROOT. Every other node — ingest workers at the
-// leaves, merge relays in the interior — is a forked child talking framed
-// deltas (dist/delta.h) over unix-domain sockets (server/net.h), exactly
-// the wire bytes MergeTreeSim pushes through its in-process links. All
-// listeners are created before the first fork, so no child can connect
-// before its parent is ready.
+// leaves, merge relays in the interior — is a forked child. Each process
+// drives one FleetNode (dist/node.h), the same state machine MergeTreeSim
+// drives in-process, and carries its framed deltas (dist/delta.h) over
+// unix-domain sockets (server/net.h). This file keeps only the transport:
+// fork, sockets, poll and teardown. All listeners are created before the
+// first fork, so no child can connect before its parent is ready.
 //
-// Each worker streams a seeded Zipf substream into its local Count-Sketch
-// + SpaceSaving tracker and ships a delta every `delta_every` items,
-// waiting for the cumulative ack before building the next one. Interior
-// relays apply child deltas (WAL-seqno dedup), re-ack, and opportunistically
-// forward their own accumulated delta upward. The final-flag handshake
-// tears the tree down leaf-to-root; the root then answers global ApproxTop
-// and point estimates and reports the composed conservation ledger.
+// Each worker admits a seeded Zipf substream in `delta_every` batches and
+// ships a delta after each, waiting for the cumulative ack before building
+// the next one. Interior relays apply or dedup child deltas, re-ack, and
+// forward their own accumulated delta upward after each. The final-flag
+// handshake tears the tree down leaf-to-root; the root then answers global
+// ApproxTop and reports the composed conservation ledger.
 #pragma once
 
 #include <cstdint>

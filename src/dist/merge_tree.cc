@@ -1,7 +1,6 @@
 #include "dist/merge_tree.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "server/protocol.h"
@@ -9,32 +8,26 @@
 
 namespace streamfreq {
 
-MergeTreeSim::MergeTreeSim(TreeTopology topo, CountSketch zero)
+MergeTreeSim::MergeTreeSim(TreeTopology topo, CountSketch zero,
+                           std::vector<Node> nodes)
     : topo_(std::move(topo)),
       params_(zero.params()),
-      epoch_(zero),
-      bottom_up_(topo_.BottomUpOrder()) {
-  nodes_.reserve(topo_.size());
-  for (uint64_t u = 0; u < topo_.size(); ++u) {
-    nodes_.emplace_back(zero);
-    if (u != 0) nodes_[u].up.emplace(u, zero);
-  }
-}
+      nodes_(std::move(nodes)),
+      epoch_(std::move(zero)),
+      bottom_up_(topo_.BottomUpOrder()) {}
 
 Result<MergeTreeSim> MergeTreeSim::Make(TreeTopology topology,
                                         const CountSketchParams& params,
                                         size_t tracked) {
-  if (tracked == 0) {
-    return Status::InvalidArgument("tracked candidate capacity must be >= 1");
-  }
   STREAMFREQ_ASSIGN_OR_RETURN(CountSketch zero, CountSketch::Make(params));
-  MergeTreeSim sim(std::move(topology), std::move(zero));
-  for (uint64_t leaf : sim.topo_.leaves) {
-    STREAMFREQ_ASSIGN_OR_RETURN(SpaceSaving tracker,
-                                SpaceSaving::Make(tracked));
-    sim.nodes_[leaf].tracker.emplace(std::move(tracker));
+  std::vector<Node> nodes;
+  nodes.reserve(topology.size());
+  for (uint64_t u = 0; u < topology.size(); ++u) {
+    STREAMFREQ_ASSIGN_OR_RETURN(FleetNode node,
+                                FleetNode::Make(topology, u, zero, tracked));
+    nodes.emplace_back(std::move(node));
   }
-  return sim;
+  return MergeTreeSim(std::move(topology), std::move(zero), std::move(nodes));
 }
 
 Status MergeTreeSim::Offer(uint64_t node, std::span<const ItemId> batch) {
@@ -45,7 +38,7 @@ Status MergeTreeSim::Offer(uint64_t node, std::span<const ItemId> batch) {
   if (!n.alive) {
     return Status::NotFound("leaf is dead");  // never enters any ledger
   }
-  if (n.final_local) {
+  if (n.sealed) {
     return Status::InvalidArgument("leaf is sealed");
   }
   size_t keep = batch.size();
@@ -56,10 +49,9 @@ Status MergeTreeSim::Offer(uint64_t node, std::span<const ItemId> batch) {
     ++stats_.nodes_lost;
     return Status::NotFound("leaf died at admission");
   }
-  n.own.offered += batch.size();
   if (fp.action == FailAction::kError) {
     // Whole-batch rejection: refused mass, accounted but never sketched.
-    n.own.rejected += batch.size();
+    n.state.Reject(batch.size());
     ++stats_.batches_rejected;
     return Status::OK();
   }
@@ -68,65 +60,29 @@ Status MergeTreeSim::Offer(uint64_t node, std::span<const ItemId> batch) {
     // ledger says exactly how much (param = items kept, 0 = half).
     keep = fp.param != 0 ? std::min<size_t>(fp.param, batch.size())
                          : batch.size() / 2;
-    n.own.dropped += batch.size() - keep;
     ++stats_.batches_torn;
   }
-  const std::span<const ItemId> admitted = batch.first(keep);
-  n.own.ingested += admitted.size();
-  n.acc.BatchAdd(admitted);
-  n.tracker->BatchAdd(admitted);
-  n.ingested_items.insert(n.ingested_items.end(), admitted.begin(),
-                          admitted.end());
-  n.covered[node] = n.ingested_items.size();
+  n.state.Admit(batch, keep);
+  n.ingested_items.insert(n.ingested_items.end(), batch.begin(),
+                          batch.begin() + keep);
   return Status::OK();
 }
 
 void MergeTreeSim::Seal() {
   for (uint64_t leaf : topo_.leaves) {
-    if (nodes_[leaf].alive) nodes_[leaf].final_local = true;
+    if (nodes_[leaf].alive) nodes_[leaf].sealed = true;
   }
 }
 
 DistLedger MergeTreeSim::TotalLedger(uint64_t node) const {
-  DistLedger total = nodes_[node].own;
-  for (const auto& [child, ledger] : nodes_[node].child_ledgers) {
-    total += ledger;
-  }
-  return total;
-}
-
-std::vector<CoverageEntry> MergeTreeSim::CoveredSnapshot(uint64_t node) const {
-  std::vector<CoverageEntry> out;
-  out.reserve(nodes_[node].covered.size());
-  for (const auto& [leaf, count] : nodes_[node].covered) {
-    out.push_back(CoverageEntry{leaf, count});
-  }
-  return out;
-}
-
-std::vector<ItemId> MergeTreeSim::CandidateUnion(uint64_t node) const {
-  std::vector<ItemId> ids;
-  const Node& n = nodes_[node];
-  if (n.tracker.has_value()) {
-    for (const SpaceSavingEntry& e : n.tracker->Entries()) {
-      ids.push_back(e.item);
-    }
-  }
-  for (const auto& [child, cands] : n.child_candidates) {
-    ids.insert(ids.end(), cands.begin(), cands.end());
-  }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
+  return nodes_[node].state.TotalLedger();
 }
 
 bool MergeTreeSim::FinalReady(uint64_t node) const {
-  const Node& n = nodes_[node];
-  if (topo_.is_leaf(node)) return n.final_local;
+  if (topo_.is_leaf(node)) return nodes_[node].sealed;
   for (uint64_t child : topo_.children[node]) {
     if (!nodes_[child].alive) continue;  // a dead child will never report
-    auto it = n.child_final.find(child);
-    if (it == n.child_final.end() || !it->second) return false;
+    if (!nodes_[node].state.ChildFinal(child)) return false;
   }
   return true;
 }
@@ -147,38 +103,16 @@ Result<std::optional<uint64_t>> MergeTreeSim::Deliver(uint64_t parent,
   if (delta.node_id != child) {
     return Status::Internal("delta sender id does not match link");
   }
-  Node& p = nodes_[parent];
-  DeltaReceiver& recv = p.receivers[child];
+  FleetNode& p = nodes_[parent].state;
   if (const FailDecision fp = SFQ_FAILPOINT("dist.deliver"); fp) {
     // Parent drops a valid delta before applying but still answers with
     // its OLD cumulative ack — the sender must resend.
     ++stats_.dropped_deliveries;
-    return std::optional<uint64_t>(recv.last_applied());
+    return std::optional<uint64_t>(p.LastApplied(child));
   }
-  bool duplicate = false;
-  STREAMFREQ_RETURN_NOT_OK(recv.Classify(delta.seqno, &duplicate));
-  if (duplicate) {
-    recv.CountDuplicate();
-    ++stats_.delta_dedups;
-    return std::optional<uint64_t>(recv.last_applied());
-  }
-  STREAMFREQ_ASSIGN_OR_RETURN(CountSketch delta_sketch,
-                              CountSketch::Deserialize(delta.sketch_blob));
-  STREAMFREQ_RETURN_NOT_OK(p.acc.Merge(delta_sketch));
-  p.child_ledgers[child] += delta.ledger;
-  for (const CoverageEntry& c : delta.covered) {
-    uint64_t& cur = p.covered[c.leaf_id];
-    if (c.count < cur) {
-      return Status::Internal("coverage watermark moved backwards");
-    }
-    cur = c.count;
-  }
-  p.child_candidates[child] = delta.candidates;
-  if (delta.final_flag) p.child_final[child] = true;
-  recv.Applied(delta.seqno);
-  ++stats_.deltas_applied;
-  *applied = true;
-  return std::optional<uint64_t>(recv.last_applied());
+  STREAMFREQ_ASSIGN_OR_RETURN(uint64_t ack, p.Apply(delta, applied));
+  ++(*applied ? stats_.deltas_applied : stats_.delta_dedups);
+  return std::optional<uint64_t>(ack);
 }
 
 Result<bool> MergeTreeSim::ShipRound() {
@@ -195,10 +129,8 @@ Result<bool> MergeTreeSim::ShipRound() {
       ++stats_.nodes_lost;
       continue;
     }
-    STREAMFREQ_ASSIGN_OR_RETURN(
-        std::optional<std::string> payload,
-        n.up->Ship(n.acc, TotalLedger(u), CoveredSnapshot(u),
-                   CandidateUnion(u), FinalReady(u)));
+    STREAMFREQ_ASSIGN_OR_RETURN(std::optional<std::string> payload,
+                                n.state.NextUplink(FinalReady(u)));
     if (!payload.has_value()) continue;
     ++stats_.deltas_shipped;
     const uint64_t parent = topo_.parent[u];
@@ -236,7 +168,7 @@ Result<bool> MergeTreeSim::ShipRound() {
       ++stats_.lost_acks;  // sender never sees it; resend next round
       continue;
     }
-    STREAMFREQ_RETURN_NOT_OK(n.up->Acked(*ack));
+    STREAMFREQ_RETURN_NOT_OK(n.state.Acked(*ack));
   }
   return progress;
 }
@@ -245,7 +177,7 @@ bool MergeTreeSim::Quiescent() const {
   for (uint64_t u = 1; u < nodes_.size(); ++u) {
     const Node& n = nodes_[u];
     if (!n.alive || !nodes_[topo_.parent[u]].alive) continue;
-    if (!n.up->NothingToShip(TotalLedger(u), FinalReady(u))) return false;
+    if (!n.state.NothingToShip(FinalReady(u))) return false;
   }
   return true;
 }
@@ -259,48 +191,21 @@ Status MergeTreeSim::Drain(uint64_t max_rounds) {
 }
 
 std::vector<CoverageEntry> MergeTreeSim::RootCovered() const {
-  return CoveredSnapshot(0);
+  return nodes_[0].state.Coverage();
 }
-
-namespace {
-
-// Scores `ids` on `score`, descending, ties toward smaller ids.
-std::vector<ItemCount> RankCandidates(const std::vector<ItemId>& ids,
-                                      const CountSketch& score, size_t k,
-                                      bool absolute) {
-  std::vector<ItemCount> out;
-  out.reserve(ids.size());
-  for (ItemId id : ids) {
-    out.push_back(ItemCount{id, score.Estimate(id)});
-  }
-  std::sort(out.begin(), out.end(),
-            [absolute](const ItemCount& a, const ItemCount& b) {
-              const int64_t ka = absolute ? std::llabs(a.count) : a.count;
-              const int64_t kb = absolute ? std::llabs(b.count) : b.count;
-              if (ka != kb) return ka > kb;
-              return a.item < b.item;
-            });
-  if (out.size() > k) out.resize(k);
-  return out;
-}
-
-}  // namespace
 
 std::vector<ItemCount> MergeTreeSim::ApproxTop(size_t k) const {
-  return RankCandidates(CandidateUnion(0), nodes_[0].acc, k,
-                        /*absolute=*/false);
+  return nodes_[0].state.ApproxTop(k);
 }
 
 Result<std::vector<ItemCount>> MergeTreeSim::MaxChange(size_t k) const {
-  CountSketch diff = nodes_[0].acc;
-  STREAMFREQ_RETURN_NOT_OK(diff.Subtract(epoch_));
-  return RankCandidates(CandidateUnion(0), diff, k, /*absolute=*/true);
+  return nodes_[0].state.MaxChange(epoch_, k);
 }
 
 Status MergeTreeSim::CheckInvariants() const {
   for (uint64_t u = 0; u < nodes_.size(); ++u) {
-    const Node& n = nodes_[u];
-    if (!n.own.ConservationHolds()) {
+    const FleetNode& n = nodes_[u].state;
+    if (!n.own_ledger().ConservationHolds()) {
       return Status::Internal("node " + std::to_string(u) +
                               ": own ledger violates conservation");
     }
@@ -311,7 +216,8 @@ Status MergeTreeSim::CheckInvariants() const {
     }
     // At-most-once accounting: what u has applied from each child never
     // exceeds what that child has produced so far.
-    for (const auto& [child, applied] : n.child_ledgers) {
+    for (uint64_t child : topo_.children[u]) {
+      const DistLedger applied = n.AppliedFrom(child);
       if (!applied.ConservationHolds()) {
         return Status::Internal("node " + std::to_string(u) + " child " +
                                 std::to_string(child) +
@@ -329,7 +235,7 @@ Status MergeTreeSim::CheckInvariants() const {
     }
     // Covered mass equals the composed ingested count at every node.
     uint64_t covered_sum = 0;
-    for (const auto& [leaf, count] : n.covered) covered_sum += count;
+    for (const auto& [leaf, count] : n.covered()) covered_sum += count;
     if (covered_sum != total.ingested) {
       return Status::Internal(
           "node " + std::to_string(u) + ": covered mass " +
@@ -340,7 +246,7 @@ Status MergeTreeSim::CheckInvariants() const {
     // exactly the covered prefix of every leaf stream (delta linearity).
     Result<CountSketch> ref = CountSketch::Make(params_);
     STREAMFREQ_RETURN_NOT_OK(ref.status());
-    for (const auto& [leaf, count] : n.covered) {
+    for (const auto& [leaf, count] : n.covered()) {
       const std::vector<ItemId>& items = nodes_[leaf].ingested_items;
       if (count > items.size()) {
         return Status::Internal("node " + std::to_string(u) +
@@ -352,7 +258,7 @@ Status MergeTreeSim::CheckInvariants() const {
     }
     std::string want, got;
     ref->SerializeTo(&want);
-    n.acc.SerializeTo(&got);
+    n.sketch().SerializeTo(&got);
     if (want != got) {
       return Status::Internal("node " + std::to_string(u) +
                               ": sketch differs from covered-prefix "

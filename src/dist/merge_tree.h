@@ -1,8 +1,12 @@
-// Deterministic in-process merge-tree engine.
+// Deterministic in-process transport for the merge tree.
 //
 // MergeTreeSim runs the whole fleet — N ingesting leaves shipping sketch
-// deltas up a TreeTopology to a root — inside one thread, with every fault
-// injected through the five dist.* failpoints (docs/ROBUSTNESS.md):
+// deltas up a TreeTopology to a root — inside one thread. Every node is a
+// FleetNode (dist/node.h), the same state machine `sfq aggregate` drives
+// over sockets; the sim adds only what is specific to an in-process fleet:
+// the links between nodes, liveness, the reference stream each leaf
+// ingested, and every fault, injected through the five dist.* failpoints
+// (docs/ROBUSTNESS.md):
 //
 //   dist.ingest   admission at a leaf: error rejects the whole batch,
 //                 torn sheds a recorded suffix (both land in the ledger)
@@ -23,20 +27,19 @@
 //      its children's applied increments plus its own, and the law
 //      `offered − rejected == ingested + dropped` holds at each of them.
 //
-// The process-backed deployment of the same protocol is src/dist/
-// aggregate.{h,cc}; the wire bytes are identical (delta.h).
+// The socket transport is src/dist/aggregate.{h,cc}; the wire bytes are
+// identical (delta.h).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/count_sketch.h"
-#include "core/space_saving.h"
 #include "dist/delta.h"
+#include "dist/node.h"
 #include "dist/tree.h"
 #include "stream/exact_counter.h"
 #include "stream/types.h"
@@ -89,7 +92,7 @@ class MergeTreeSim {
 
   // --- root queries -------------------------------------------------------
 
-  const CountSketch& root_sketch() const { return nodes_[0].acc; }
+  const CountSketch& root_sketch() const { return nodes_[0].state.sketch(); }
 
   /// Composed ledger at the root: its children's applied increments (the
   /// root ingests nothing itself).
@@ -103,13 +106,13 @@ class MergeTreeSim {
   std::vector<ItemCount> ApproxTop(size_t k) const;
 
   int64_t EstimatePoint(ItemId item) const {
-    return nodes_[0].acc.Estimate(item);
+    return root_sketch().Estimate(item);
   }
 
   /// Two-pass max-change over the subtractive structure: MarkEpoch copies
   /// the root sketch; MaxChange scores the candidate union on
   /// (current − epoch) and returns the k largest |delta|.
-  void MarkEpoch() { epoch_ = nodes_[0].acc; }
+  void MarkEpoch() { epoch_ = root_sketch(); }
   Result<std::vector<ItemCount>> MaxChange(size_t k) const;
 
   // --- inspection ---------------------------------------------------------
@@ -138,30 +141,16 @@ class MergeTreeSim {
 
  private:
   struct Node {
-    explicit Node(CountSketch zero) : acc(std::move(zero)) {}
+    explicit Node(FleetNode node) : state(std::move(node)) {}
 
+    FleetNode state;
     bool alive = true;
-    bool final_local = false;  ///< Seal() reached this node
-    CountSketch acc;           ///< leaf: ingested; interior: applied merges
-    DistLedger own;            ///< leaf admission ledger (interior: zero)
-    /// Per-child sum of applied ledger increments. TotalLedger = own +
-    /// Σ values — the composition law asserted by CheckInvariants.
-    std::map<uint64_t, DistLedger> child_ledgers;
-    std::map<uint64_t, uint64_t> covered;   ///< leaf_id -> watermark
-    std::map<uint64_t, std::vector<ItemId>> child_candidates;
-    std::map<uint64_t, bool> child_final;
-    std::optional<SpaceSaving> tracker;     ///< leaves only
-    std::vector<ItemId> ingested_items;     ///< leaves only
-    std::optional<DeltaChannel> up;         ///< non-root only
-    std::map<uint64_t, DeltaReceiver> receivers;  ///< per child
+    bool sealed = false;                ///< Seal() reached this leaf
+    std::vector<ItemId> ingested_items;  ///< leaves only
   };
 
-  MergeTreeSim(TreeTopology topo, CountSketch zero);
+  MergeTreeSim(TreeTopology topo, CountSketch zero, std::vector<Node> nodes);
 
-  /// The candidate union `node` would ship upward (every item its own
-  /// tracker monitors plus every child's last snapshot), sorted and deduped.
-  std::vector<ItemId> CandidateUnion(uint64_t node) const;
-  std::vector<CoverageEntry> CoveredSnapshot(uint64_t node) const;
   bool FinalReady(uint64_t node) const;
 
   /// Delivers `frame` from `child` to `parent`; returns the cumulative ack

@@ -127,6 +127,16 @@ struct SketchService::Tenant {
     return sample;
   }
 
+  /// The ids a top-k or max-change query scores: a slate three times
+  /// wider than k, of the items the tracker counts highest.
+  std::vector<ItemId> CandidateSlate(uint64_t k) SFQ_REQUIRES(mu) {
+    std::vector<ItemId> ids;
+    for (const ItemCount& c : candidates->Candidates(3 * k)) {
+      ids.push_back(c.item);
+    }
+    return ids;
+  }
+
   /// The snapshot a query answers from: refreshes the serving cache unless
   /// the server.publish failpoint holds it back (stale is fine, wrong
   /// never is — the cached pointer stays valid for the ingestor's
@@ -375,19 +385,9 @@ Response SketchService::TopK(Tenant& tenant, const Request& request) {
   // Score a wider candidate slate than k on the snapshot, then keep the
   // best k: Space-Saving's own counts are upper bounds with merge slack,
   // the sketch estimates are the paper's unbiased median.
-  const size_t slate = static_cast<size_t>(request.k) * 3;
-  std::vector<ItemCount> candidates = tenant.candidates->Candidates(slate);
-  for (ItemCount& candidate : candidates) {
-    candidate.count = snapshot->Estimate(candidate.item);
-  }
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const ItemCount& a, const ItemCount& b) {
-                     return a.count > b.count;
-                   });
-  if (candidates.size() > request.k) {
-    candidates.resize(static_cast<size_t>(request.k));
-  }
-  resp.entries = std::move(candidates);
+  resp.entries = RankCandidates(tenant.CandidateSlate(request.k), *snapshot,
+                                static_cast<size_t>(request.k),
+                                /*absolute=*/false);
   return resp;
 }
 
@@ -428,19 +428,9 @@ Response SketchService::MaxChange(Tenant& tenant, const Request& request) {
   CountSketch delta = *snapshot;
   const Status status = delta.Subtract(*tenant.marked);
   if (!status.ok()) return Response::FromStatus(status);
-  const size_t slate = static_cast<size_t>(request.k) * 3;
-  std::vector<ItemCount> candidates = tenant.candidates->Candidates(slate);
-  for (ItemCount& candidate : candidates) {
-    candidate.count = delta.Estimate(candidate.item);
-  }
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const ItemCount& a, const ItemCount& b) {
-                     return std::llabs(a.count) > std::llabs(b.count);
-                   });
-  if (candidates.size() > request.k) {
-    candidates.resize(static_cast<size_t>(request.k));
-  }
-  resp.entries = std::move(candidates);
+  resp.entries = RankCandidates(tenant.CandidateSlate(request.k), delta,
+                                static_cast<size_t>(request.k),
+                                /*absolute=*/true);
   return resp;
 }
 

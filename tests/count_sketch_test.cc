@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "stream/exact_counter.h"
 #include "stream/zipf.h"
@@ -308,6 +309,32 @@ TEST(CountSketchTest, EstimateUnbiasedOverSeeds) {
   // Variance per estimate <= F2/width; stderr = sqrt(var/kSeeds).
   const double sigma = std::sqrt(oracle.ResidualF2(0) / 64.0 / kSeeds);
   EXPECT_NEAR(mean, static_cast<double>(truth), 6 * sigma);
+}
+
+// The one candidate ranker (root top-k, max-change, server queries):
+// estimate descending, |estimate| for max-change, ties to the smaller id.
+TEST(CountSketchTest, RankCandidatesOrdersByEstimateThenId) {
+  auto s = CountSketch::Make(SmallParams());
+  ASSERT_TRUE(s.ok());
+  s->Add(3, 10);
+  s->Add(5, 10);
+  s->Add(8, -20);
+  const std::vector<ItemId> ids = {8, 5, 3, 2, 1};
+  ASSERT_EQ(s->Estimate(1), 0);
+  ASSERT_EQ(s->Estimate(2), 0);
+  ASSERT_EQ(s->Estimate(3), 10);
+  ASSERT_EQ(s->Estimate(5), 10);
+  ASSERT_EQ(s->Estimate(8), -20);
+
+  const std::vector<ItemCount> top = RankCandidates(ids, *s, 4, false);
+  const std::vector<ItemCount> want_top = {{3, 10}, {5, 10}, {1, 0}, {2, 0}};
+  EXPECT_EQ(top, want_top);
+
+  const std::vector<ItemCount> moved = RankCandidates(ids, *s, 3, true);
+  const std::vector<ItemCount> want_moved = {{8, -20}, {3, 10}, {5, 10}};
+  EXPECT_EQ(moved, want_moved);
+
+  EXPECT_EQ(RankCandidates(ids, *s, 10, false).size(), ids.size());
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Delta-shipping protocol tests (satellite of the distributed merge tree,
 // docs/DISTRIBUTED.md): the codec's corruption matrix at every truncation
 // boundary, the channel's resend-verbatim/cumulative-ack discipline, the
-// receiver's WAL-style dedup, and an end-to-end severed-link schedule
-// proving at-most-once accounting through MergeTreeSim.
+// receiver's WAL-style dedup, the fleet node's checks on outside input,
+// and an end-to-end severed-link schedule proving at-most-once accounting
+// through MergeTreeSim.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include "core/count_sketch.h"
 #include "dist/delta.h"
 #include "dist/merge_tree.h"
+#include "dist/node.h"
 #include "dist/tree.h"
 #include "stream/zipf.h"
 #include "util/failpoint.h"
@@ -208,6 +210,115 @@ TEST(DeltaReceiverTest, WalDisciplineDedupsAndRejectsGaps) {
   EXPECT_TRUE(receiver.Classify(4, &duplicate).IsCorruption());
   EXPECT_EQ(receiver.last_applied(), 2u);
   EXPECT_EQ(receiver.duplicates(), 1u);
+}
+
+// Ships `items` fresh items from `leaf` and returns the decoded payload.
+DeltaPayload ShipFrom(FleetNode* leaf, ItemId first, size_t items) {
+  std::vector<ItemId> batch;
+  for (size_t i = 0; i < items; ++i) batch.push_back(first + i % 7);
+  leaf->Admit(batch, batch.size());
+  auto payload = leaf->NextUplink(/*final_flag=*/false);
+  EXPECT_TRUE(payload.ok() && payload->has_value());
+  auto delta = DecodeDelta(**payload);
+  EXPECT_TRUE(delta.ok());
+  return *delta;
+}
+
+std::string SketchBytes(const FleetNode& node) {
+  std::string bytes;
+  node.sketch().SerializeTo(&bytes);
+  return bytes;
+}
+
+// A delta names its sender; only the receiving node's own children may
+// send. A grandchild's well-formed delta is Corruption at the root, and the
+// root is left as it was.
+TEST(FleetNodeTest, ApplyRejectsADeltaFromANonChild) {
+  auto topo = BuildBalancedTree(/*workers=*/4, /*fanout=*/2);
+  ASSERT_TRUE(topo.ok());
+  auto zero = CountSketch::Make(SmallParams());
+  ASSERT_TRUE(zero.ok());
+  const uint64_t leaf_id = topo->leaves[0];
+  ASSERT_NE(topo->parent[leaf_id], 0u) << "want a grandchild of the root";
+  auto leaf = FleetNode::Make(*topo, leaf_id, *zero, /*tracked=*/8);
+  auto root = FleetNode::Make(*topo, 0, *zero, /*tracked=*/8);
+  ASSERT_TRUE(leaf.ok() && root.ok());
+
+  const DeltaPayload delta = ShipFrom(&*leaf, 100, 50);
+  const std::string before = SketchBytes(*root);
+  bool applied = true;
+  const Result<uint64_t> ack = root->Apply(delta, &applied);
+  EXPECT_TRUE(ack.status().IsCorruption()) << ack.status().ToString();
+  EXPECT_FALSE(applied);
+  EXPECT_EQ(root->TotalLedger(), DistLedger{});
+  EXPECT_TRUE(root->covered().empty());
+  EXPECT_EQ(root->deltas_applied(), 0u);
+  EXPECT_EQ(SketchBytes(*root), before);
+
+  // The same delta at the leaf's real parent applies.
+  auto parent = FleetNode::Make(*topo, topo->parent[leaf_id], *zero, 8);
+  ASSERT_TRUE(parent.ok());
+  const Result<uint64_t> ok_ack = parent->Apply(delta, &applied);
+  ASSERT_TRUE(ok_ack.ok()) << ok_ack.status().ToString();
+  EXPECT_TRUE(applied);
+  EXPECT_EQ(*ok_ack, 1u);
+}
+
+// Coverage watermarks are absolute and monotone; one that moves backwards
+// is Corruption, caught before the delta's sketch, ledger or candidates
+// land. A re-delivery dedups and re-acks.
+TEST(FleetNodeTest, ApplyRejectsACoverageWatermarkMovingBackwards) {
+  auto topo = BuildBalancedTree(/*workers=*/1, /*fanout=*/0);
+  ASSERT_TRUE(topo.ok());
+  auto zero = CountSketch::Make(SmallParams());
+  ASSERT_TRUE(zero.ok());
+  auto leaf = FleetNode::Make(*topo, 1, *zero, /*tracked=*/8);
+  auto root = FleetNode::Make(*topo, 0, *zero, /*tracked=*/8);
+  ASSERT_TRUE(leaf.ok() && root.ok());
+
+  const DeltaPayload first = ShipFrom(&*leaf, 10, 100);
+  bool applied = false;
+  Result<uint64_t> ack = root->Apply(first, &applied);
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_TRUE(applied);
+  ASSERT_TRUE(leaf->Acked(*ack).ok());
+
+  ack = root->Apply(first, &applied);  // re-delivery
+  ASSERT_TRUE(ack.ok());
+  EXPECT_FALSE(applied);
+  EXPECT_EQ(*ack, 1u);
+  EXPECT_EQ(root->delta_dedups(), 1u);
+
+  const DeltaPayload second = ShipFrom(&*leaf, 20, 50);
+  ASSERT_EQ(second.covered.size(), 1u);
+  EXPECT_EQ(second.covered[0].count, 150u);
+  DeltaPayload backwards = second;
+  backwards.covered[0].count = 40;
+  const std::string before = SketchBytes(*root);
+  ack = root->Apply(backwards, &applied);
+  EXPECT_TRUE(ack.status().IsCorruption()) << ack.status().ToString();
+  EXPECT_FALSE(applied);
+  EXPECT_EQ(root->TotalLedger().ingested, 100u);
+  EXPECT_EQ(root->covered().at(1), 100u);
+  EXPECT_EQ(root->LastApplied(1), 1u);
+  EXPECT_EQ(SketchBytes(*root), before);
+
+  // A repeated leaf id could smuggle a backwards step (150 then 120) past
+  // a check of each entry against the current watermark alone.
+  DeltaPayload repeated = second;
+  repeated.covered.push_back(CoverageEntry{1, 120});
+  ack = root->Apply(repeated, &applied);
+  EXPECT_TRUE(ack.status().IsCorruption()) << ack.status().ToString();
+  EXPECT_EQ(root->covered().at(1), 100u);
+  EXPECT_EQ(SketchBytes(*root), before);
+
+  ack = root->Apply(second, &applied);
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_TRUE(applied);
+  EXPECT_EQ(*ack, 2u);
+  EXPECT_EQ(root->TotalLedger().ingested, 150u);
+  EXPECT_EQ(root->covered().at(1), 150u);
+  EXPECT_EQ(SketchBytes(*root), SketchBytes(*leaf));
 }
 
 // End-to-end: a planted severed-link + lost-ack schedule. Severs delay

@@ -3,9 +3,12 @@
 // checked counter-exactly across parameterizations.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/ams_f2.h"
 #include "core/count_sketch.h"
 #include "stream/zipf.h"
+#include "verify/program.h"
 
 namespace streamfreq {
 namespace {
@@ -100,6 +103,29 @@ TEST_P(SketchLawTest, SubtractIsInverseOfMerge) {
   ASSERT_TRUE(a.Merge(SketchOf(s2)).ok());
   ASSERT_TRUE(a.Subtract(SketchOf(s2)).ok());
   ExpectEqualCounters(a, SketchOf(s1));
+}
+
+// Metamorphic relation under the verify fuzz grammar: a round-robin split
+// into three sketches folded back with Merge is counter-exact against one
+// sequential sketch, on every fuzz workload family (zipf / uniform / flows
+// / adversarial). Parallel ingest and the merge tree both rest on it.
+TEST_P(SketchLawTest, RoundRobinSplitMergesToSequentialOnFuzzWorkloads) {
+  for (uint64_t index = 0; index < 6; ++index) {
+    const FuzzProgram program = ProgramFromSeed(777, index);
+    auto stream = MaterializeStream(program);
+    ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+
+    std::vector<Stream> parts(3);
+    for (size_t i = 0; i < stream->size(); ++i) {
+      parts[i % 3].push_back((*stream)[i]);
+    }
+    CountSketch combined = SketchOf(parts[0]);
+    ASSERT_TRUE(combined.Merge(SketchOf(parts[1])).ok());
+    ASSERT_TRUE(combined.Merge(SketchOf(parts[2])).ok());
+    SCOPED_TRACE("program " + std::to_string(index) + " (" +
+                 WorkloadKindName(program.kind) + ")");
+    ExpectEqualCounters(combined, SketchOf(*stream));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
