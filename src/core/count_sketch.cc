@@ -313,4 +313,12 @@ std::vector<ItemCount> RankCandidates(std::span<const ItemId> ids,
   return out;
 }
 
+Result<std::vector<ItemCount>> RankChanges(std::span<const ItemId> ids,
+                                           const CountSketch& current,
+                                           const CountSketch& mark, size_t k) {
+  CountSketch diff = current;
+  STREAMFREQ_RETURN_NOT_OK(diff.Subtract(mark));
+  return RankCandidates(ids, diff, k, /*absolute=*/true);
+}
+
 }  // namespace streamfreq

@@ -185,4 +185,11 @@ std::vector<ItemCount> RankCandidates(std::span<const ItemId> ids,
                                       const CountSketch& sketch, size_t k,
                                       bool absolute);
 
+/// The paper's max-change step through the group structure: subtracts
+/// `mark` from a copy of `current` and ranks `ids` by |difference|.
+/// Incompatible sketches fail as Subtract does.
+Result<std::vector<ItemCount>> RankChanges(std::span<const ItemId> ids,
+                                           const CountSketch& current,
+                                           const CountSketch& mark, size_t k);
+
 }  // namespace streamfreq

@@ -108,6 +108,10 @@ uint64_t FleetNode::delta_dedups() const {
 }
 
 Result<std::optional<std::string>> FleetNode::NextUplink(bool final_flag) {
+  // A pending delta goes out verbatim and a quiet link ships nothing, so
+  // the coverage and the candidate union are built only for a new delta.
+  if (up_->has_pending()) return up_->Ship(acc_, {}, {}, {}, final_flag);
+  if (NothingToShip(final_flag)) return std::optional<std::string>();
   return up_->Ship(acc_, TotalLedger(), Coverage(), CandidateUnion(),
                    final_flag);
 }
@@ -146,9 +150,7 @@ std::vector<ItemCount> FleetNode::ApproxTop(size_t k) const {
 
 Result<std::vector<ItemCount>> FleetNode::MaxChange(const CountSketch& epoch,
                                                     size_t k) const {
-  CountSketch diff = acc_;
-  STREAMFREQ_RETURN_NOT_OK(diff.Subtract(epoch));
-  return RankCandidates(CandidateUnion(), diff, k, /*absolute=*/true);
+  return RankChanges(CandidateUnion(), acc_, epoch, k);
 }
 
 }  // namespace streamfreq

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include "server/protocol.h"
+#include "util/frame.h"
 #include "util/macros.h"
 
 namespace streamfreq {
@@ -123,26 +124,28 @@ Status SendFrame(int fd, std::string_view payload) {
 }
 
 Result<std::string> RecvFrame(int fd) {
-  char header[kFrameHeaderSize];
+  std::string bytes(frame::kHeaderSize, '\0');
   size_t got = 0;
-  STREAMFREQ_RETURN_NOT_OK(ReadAll(fd, header, sizeof(header), &got));
+  STREAMFREQ_RETURN_NOT_OK(ReadAll(fd, bytes.data(), bytes.size(), &got));
   if (got == 0) return Status::NotFound("connection closed");
-  if (got < sizeof(header)) {
+  if (got < bytes.size()) {
     return Status::Corruption("connection closed inside a frame header");
   }
   uint64_t payload_len;
-  uint32_t masked_crc;
-  STREAMFREQ_RETURN_NOT_OK(ParseFrameHeader(
-      std::string_view(header, sizeof(header)), &payload_len, &masked_crc));
-  std::string payload(static_cast<size_t>(payload_len), '\0');
-  if (payload_len > 0) {
-    STREAMFREQ_RETURN_NOT_OK(ReadAll(fd, payload.data(), payload.size(), &got));
-    if (got < payload.size()) {
-      return Status::Corruption("connection closed inside a frame payload");
-    }
+  STREAMFREQ_RETURN_NOT_OK(frame::ParseHeader(bytes, kFrameMagic,
+                                              kMaxPayloadBytes, &payload_len));
+  bytes.resize(frame::kHeaderSize + static_cast<size_t>(payload_len));
+  STREAMFREQ_RETURN_NOT_OK(
+      ReadAll(fd, bytes.data() + frame::kHeaderSize, payload_len, &got));
+  if (got < payload_len) {
+    return Status::Corruption("connection closed inside a frame payload");
   }
-  STREAMFREQ_RETURN_NOT_OK(VerifyFramePayload(payload, masked_crc));
-  return payload;
+  std::string_view rest = bytes;
+  std::string_view payload;
+  STREAMFREQ_RETURN_NOT_OK(
+      frame::Split(&rest, kFrameMagic, kMaxPayloadBytes, &payload));
+  bytes.erase(0, frame::kHeaderSize);
+  return bytes;
 }
 
 }  // namespace streamfreq

@@ -1,9 +1,7 @@
 #include "server/protocol.h"
 
-#include <cstring>
-
 #include "util/bytes.h"
-#include "util/crc32.h"
+#include "util/frame.h"
 #include "util/macros.h"
 
 namespace streamfreq {
@@ -73,58 +71,16 @@ bool OpcodeNeedsTenant(Opcode op) {
 }
 
 std::string EncodeFrame(std::string_view payload) {
-  std::string frame;
-  frame.reserve(kFrameHeaderSize + payload.size());
-  ByteWriter w(&frame);
-  w.PutU64(kFrameMagic);
-  w.PutU64(payload.size());
-  const uint32_t crc =
-      crc32c::Mask(crc32c::Value(payload.data(), payload.size()));
-  w.PutBytes(&crc, sizeof(crc));
-  w.PutBytes(payload.data(), payload.size());
-  return frame;
+  std::string out;
+  frame::Append(kFrameMagic, payload, &out);
+  return out;
 }
 
-Status ParseFrameHeader(std::string_view header, uint64_t* payload_len,
-                        uint32_t* masked_crc) {
-  if (header.size() != kFrameHeaderSize) {
-    return Status::Corruption("frame header truncated");
-  }
-  uint64_t magic;
-  std::memcpy(&magic, header.data(), 8);
-  if (magic != kFrameMagic) {
-    return Status::Corruption("bad frame magic");
-  }
-  std::memcpy(payload_len, header.data() + 8, 8);
-  if (*payload_len > kMaxPayloadBytes) {
-    return Status::Corruption("frame payload length exceeds bound");
-  }
-  std::memcpy(masked_crc, header.data() + 16, 4);
-  return Status::OK();
-}
-
-Status VerifyFramePayload(std::string_view payload, uint32_t masked_crc) {
-  const uint32_t actual =
-      crc32c::Mask(crc32c::Value(payload.data(), payload.size()));
-  if (actual != masked_crc) {
-    return Status::Corruption("frame payload checksum mismatch");
-  }
-  return Status::OK();
-}
-
-Status DecodeFrame(std::string_view frame, std::string* payload) {
-  if (frame.size() < kFrameHeaderSize) {
-    return Status::Corruption("frame shorter than header");
-  }
-  uint64_t payload_len;
-  uint32_t masked_crc;
-  STREAMFREQ_RETURN_NOT_OK(ParseFrameHeader(frame.substr(0, kFrameHeaderSize),
-                                            &payload_len, &masked_crc));
-  const std::string_view body = frame.substr(kFrameHeaderSize);
-  if (body.size() != payload_len) {
-    return Status::Corruption("frame payload length mismatch");
-  }
-  STREAMFREQ_RETURN_NOT_OK(VerifyFramePayload(body, masked_crc));
+Status DecodeFrame(std::string_view bytes, std::string* payload) {
+  std::string_view body;
+  STREAMFREQ_RETURN_NOT_OK(
+      frame::Split(&bytes, kFrameMagic, kMaxPayloadBytes, &body));
+  if (!bytes.empty()) return Status::Corruption("trailing bytes after frame");
   payload->assign(body.data(), body.size());
   return Status::OK();
 }

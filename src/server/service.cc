@@ -423,14 +423,10 @@ Response SketchService::MaxChange(Tenant& tenant, const Request& request) {
   }
   Response resp;
   const CountSketch* snapshot = tenant.Serving(&resp.epoch);
-  // The paper's two-pass max-change via the group structure: subtract the
-  // marked sketch from the current one and rank candidates by |delta|.
-  CountSketch delta = *snapshot;
-  const Status status = delta.Subtract(*tenant.marked);
-  if (!status.ok()) return Response::FromStatus(status);
-  resp.entries = RankCandidates(tenant.CandidateSlate(request.k), delta,
-                                static_cast<size_t>(request.k),
-                                /*absolute=*/true);
+  auto ranked = RankChanges(tenant.CandidateSlate(request.k), *snapshot,
+                            *tenant.marked, static_cast<size_t>(request.k));
+  if (!ranked.ok()) return Response::FromStatus(ranked.status());
+  resp.entries = std::move(*ranked);
   return resp;
 }
 

@@ -1,7 +1,7 @@
 // Durable tenant state for `sfq serve`: epoch snapshots + the TenantStore
 // that pairs them with the write-ahead journal (server/wal.h).
 //
-// A snapshot is ONE file ("SFQSNP01" through the sketch_io atomic
+// A snapshot is ONE file (kSnapshotMagic, through the sketch_io atomic
 // write-temp-then-rename path) carrying everything a tenant needs to come
 // back: the TenantSpec, the journal sequence number the state covers, the
 // durable ledger counters, the Space-Saving candidate triples, and the
@@ -44,7 +44,7 @@
 
 namespace streamfreq {
 
-/// Magic tag of tenant snapshot files ("SFQSNP01").
+/// Magic tag of tenant snapshot files (bytes on disk: "SQQSNP01").
 inline constexpr uint64_t kSnapshotMagic = 0x3130504E53515153ULL;
 inline constexpr uint64_t kSnapshotVersion = 1;
 

@@ -3,13 +3,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <iterator>
 #include <vector>
 
 #include "util/bytes.h"
-#include "util/crc32.h"
 #include "util/failpoint.h"
+#include "util/frame.h"
 
 namespace streamfreq {
 
@@ -65,14 +64,7 @@ Status WalWriter::Append(uint64_t seqno, std::span<const ItemId> items) {
   for (const ItemId id : items) pw.PutU64(id);
 
   std::string record;
-  record.reserve(kWalRecordHeaderSize + payload.size());
-  ByteWriter w(&record);
-  w.PutU64(kWalMagic);
-  w.PutU64(payload.size());
-  const uint32_t crc =
-      crc32c::Mask(crc32c::Value(payload.data(), payload.size()));
-  w.PutBytes(&crc, sizeof(crc));
-  record += payload;
+  frame::Append(kWalMagic, payload, &record);
 
   if (const FailDecision fp = SFQ_FAILPOINT("wal.append"); fp) {
     MaybeDieAtFailpoint(fp);  // power cut before the record lands
@@ -130,25 +122,15 @@ Result<WalReplayStats> ReplayWal(const std::string& path, uint64_t base_seqno,
 
   std::string data((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
-  size_t off = 0;
+  std::string_view rest = data;
   std::vector<ItemId> scratch;
-  while (off < data.size()) {
-    // Frame validation mirrors the protocol reader: any truncation, magic
-    // mismatch, implausible length, or checksum failure ends the intact
-    // prefix — everything from here on is the torn tail.
-    if (data.size() - off < kWalRecordHeaderSize) break;
-    uint64_t magic, payload_len;
-    uint32_t stored_crc;
-    std::memcpy(&magic, data.data() + off, 8);
-    std::memcpy(&payload_len, data.data() + off + 8, 8);
-    std::memcpy(&stored_crc, data.data() + off + 16, 4);
-    if (magic != kWalMagic) break;
-    if (payload_len > kWalMaxPayloadBytes) break;
-    if (data.size() - off - kWalRecordHeaderSize < payload_len) break;
-    const std::string_view payload(data.data() + off + kWalRecordHeaderSize,
-                                   static_cast<size_t>(payload_len));
-    if (crc32c::Unmask(stored_crc) !=
-        crc32c::Value(payload.data(), payload.size())) {
+  while (!rest.empty()) {
+    // Any truncation, magic mismatch, implausible length, or checksum
+    // failure ends the intact prefix: everything from here on is the torn
+    // tail.
+    std::string_view payload;
+    const size_t before = rest.size();
+    if (!frame::Split(&rest, kWalMagic, kWalMaxPayloadBytes, &payload).ok()) {
       break;
     }
 
@@ -162,8 +144,6 @@ Result<WalReplayStats> ReplayWal(const std::string& path, uint64_t base_seqno,
       return Status::Corruption("wal: record item count mismatch: " + path);
     }
 
-    const size_t record_size =
-        kWalRecordHeaderSize + static_cast<size_t>(payload_len);
     if (seqno <= base_seqno) {
       // The snapshot already covers this batch (crash between snapshot
       // publish and journal truncation): skip, exactly-once.
@@ -182,12 +162,11 @@ Result<WalReplayStats> ReplayWal(const std::string& path, uint64_t base_seqno,
       ++stats.records_applied;
       stats.last_seqno = seqno;
     }
-    stats.valid_bytes += record_size;
-    off += record_size;
+    stats.valid_bytes += before - rest.size();
   }
-  if (off < data.size()) {
+  if (!rest.empty()) {
     stats.torn_tail = true;
-    stats.discarded_bytes = data.size() - off;
+    stats.discarded_bytes = rest.size();
   }
   return stats;
 }

@@ -2,7 +2,7 @@
 // implementation is the tools/sfq_lint/ package).
 //
 // Proves the properties scripts/lint.sh depends on:
-//   1. the real tree is clean (lint exits 0) under all 15 rules,
+//   1. the real tree is clean (lint exits 0) under all 17 rules,
 //   2. the linter is *sensitive*: each deliberately broken fixture in
 //      tests/lint_fixtures/, linted as if it lived at its pretend src/
 //      path, makes lint exit non-zero with the expected rule id -- i.e.
@@ -103,7 +103,7 @@ TEST(LintSelfcheck, FixtureExpectationsAllHold) {
 
 TEST(LintSelfcheck, EachBrokenFixtureFailsAsTreeSource) {
   const std::vector<Fixture> fixtures = LoadFixtures();
-  ASSERT_GE(fixtures.size(), 12u);  // 11+ broken + 1 suppressed control
+  ASSERT_GE(fixtures.size(), 17u);  // 16+ broken + 1 suppressed control
   int broken = 0;
   for (const Fixture& f : fixtures) {
     ASSERT_FALSE(f.pretend_path.empty()) << f.file;
@@ -123,7 +123,7 @@ TEST(LintSelfcheck, EachBrokenFixtureFailsAsTreeSource) {
           << r.output;
     }
   }
-  EXPECT_GE(broken, 11);
+  EXPECT_GE(broken, 16);
 }
 
 TEST(LintSelfcheck, ListRulesMatchesDocumentedSet) {
@@ -133,7 +133,8 @@ TEST(LintSelfcheck, ListRulesMatchesDocumentedSet) {
        {"sfq-row-seed", "sfq-raw-geometry", "sfq-nondet-random",
         "sfq-dropped-status", "sfq-raw-mutex", "sfq-unguarded-member",
         "sfq-concurrent-label", "sfq-nodiscard-decl", "sfq-failpoint-site",
-        "sfq-server-opcode", "sfq-simd-ifdef", "sfq-layer-dag",
+        "sfq-server-opcode", "sfq-durable-write", "sfq-raw-frame",
+        "sfq-simd-ifdef", "sfq-layer-dag",
         "sfq-lock-order", "sfq-blocking-under-lock", "sfq-hot-path"}) {
     EXPECT_NE(r.output.find(rule), std::string::npos) << rule;
   }

@@ -1,19 +1,23 @@
-// Protocol battery for `sfq serve`: round-trips for every opcode, plus the
-// corruption matrix — truncation at every byte boundary, a bit flip in
-// every header position, payload damage — all of which must come back as a
-// clean error Status (never a crash, never a giant allocation; the suite
-// also runs under ASan/UBSan via scripts/check.sh).
+// Protocol battery for `sfq serve`: round-trips for every opcode, the
+// shared frame corruption matrix (tests/frame_corruption_matrix.h) against
+// DecodeFrame, and truncation of every request and response payload — all
+// of which must come back as a clean error Status (never a crash, never a
+// giant allocation; the suite also runs under ASan/UBSan via
+// scripts/check.sh).
 #include "server/protocol.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <sys/socket.h>
 #include <unistd.h>
 #include <vector>
 
+#include "frame_corruption_matrix.h"
 #include "server/net.h"
 #include "util/bytes.h"
+#include "util/frame.h"
 
 namespace streamfreq {
 namespace {
@@ -121,61 +125,27 @@ TEST(FrameTest, RoundTripsPayloads) {
        {std::string(), std::string("x"), std::string(100000, 'q'),
         std::string("\0\xff\x7f", 3)}) {
     const std::string frame = EncodeFrame(payload);
-    ASSERT_EQ(frame.size(), kFrameHeaderSize + payload.size());
+    ASSERT_EQ(frame.size(), frame::kHeaderSize + payload.size());
     std::string decoded;
     ASSERT_TRUE(DecodeFrame(frame, &decoded).ok());
     EXPECT_EQ(decoded, payload);
   }
 }
 
-TEST(FrameTest, TruncationAtEveryBoundaryIsCorruption) {
-  const std::string frame = EncodeFrame("corruption matrix payload");
-  std::string decoded;
-  for (size_t len = 0; len < frame.size(); ++len) {
-    EXPECT_TRUE(DecodeFrame(frame.substr(0, len), &decoded).IsCorruption())
-        << "prefix of " << len << " bytes decoded";
-  }
-  // Trailing garbage after a valid frame is damage too.
-  EXPECT_TRUE(DecodeFrame(frame + "x", &decoded).IsCorruption());
-}
-
-TEST(FrameTest, EveryHeaderBitFlipIsCorruption) {
-  const std::string frame = EncodeFrame("bit flip battery");
-  std::string decoded;
-  for (size_t byte = 0; byte < kFrameHeaderSize; ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string damaged = frame;
-      damaged[byte] = static_cast<char>(damaged[byte] ^ (1 << bit));
-      EXPECT_TRUE(DecodeFrame(damaged, &decoded).IsCorruption())
-          << "flip at header byte " << byte << " bit " << bit;
-    }
-  }
-}
-
-TEST(FrameTest, EveryPayloadBitFlipIsCorruption) {
-  const std::string frame = EncodeFrame("payload flip battery");
-  std::string decoded;
-  for (size_t byte = kFrameHeaderSize; byte < frame.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string damaged = frame;
-      damaged[byte] = static_cast<char>(damaged[byte] ^ (1 << bit));
-      EXPECT_TRUE(DecodeFrame(damaged, &decoded).IsCorruption())
-          << "flip at payload byte " << byte << " bit " << bit;
-    }
-  }
-}
-
-TEST(FrameTest, OversizedDeclaredLengthIsCorruptionNotAllocation) {
-  // Craft a header that declares a payload beyond kMaxPayloadBytes; the
-  // parser must reject on the bound, before trusting the length.
-  std::string header;
-  ByteWriter writer(&header);
-  writer.PutU64(kFrameMagic);
-  writer.PutU64(kMaxPayloadBytes + 1);
-  writer.PutBytes("\0\0\0\0", 4);
-  uint64_t payload_len = 0;
-  uint32_t crc = 0;
-  EXPECT_TRUE(ParseFrameHeader(header, &payload_len, &crc).IsCorruption());
+TEST(FrameTest, CorruptionMatrix) {
+  FrameFormat f;
+  f.name = "rpc frame";
+  f.max_payload = kMaxPayloadBytes;
+  f.payload = "corruption matrix payload";
+  f.frame = EncodeFrame(f.payload);
+  f.decode = [](const std::string& bytes) {
+    FrameDecoded got;
+    std::string payload;
+    got.status = DecodeFrame(bytes, &payload);
+    if (got.status.ok()) got.payload = payload;
+    return got;
+  };
+  RunFrameCorruptionMatrix(f);
 }
 
 TEST(RequestTest, RoundTripsEveryOpcode) {
@@ -301,6 +271,23 @@ TEST(NetTest, CleanEofVsMidFrameTruncation) {
   OwnedFd reader2(more[0]);
   { OwnedFd writer2(more[1]); }  // close immediately: EOF at a boundary
   EXPECT_TRUE(RecvFrame(reader2.get()).status().IsNotFound());
+}
+
+// The streaming reader checks the header's declared length against the
+// bound before it sizes the payload buffer.
+TEST(NetTest, OversizedDeclaredLengthIsCorruptionBeforeAllocation) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  OwnedFd reader(fds[0]);
+  {
+    OwnedFd writer_fd(fds[1]);
+    std::string header = EncodeFrame("");
+    const uint64_t len = kMaxPayloadBytes + 1;
+    std::memcpy(header.data() + 8, &len, 8);
+    ASSERT_EQ(::write(writer_fd.get(), header.data(), header.size()),
+              static_cast<ssize_t>(header.size()));
+  }
+  EXPECT_TRUE(RecvFrame(reader.get()).status().IsCorruption());
 }
 
 TEST(NetTest, OversizedSendRejectedBeforeWrite) {

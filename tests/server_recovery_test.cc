@@ -1,8 +1,7 @@
-// Crash-recovery battery for the durable tenant layer (PR "durable
-// tenants"): WAL framing and replay (torn tails at every truncation
-// boundary, bit flips, duplicate sequences, gaps), TenantStore
-// snapshot+journal recovery, and whole-service recovery with the
-// conservation ledger and bit-identical sketches.
+// Crash-recovery battery for the durable tenant layer: WAL framing and
+// replay (the shared frame corruption matrix, duplicate sequences, gaps),
+// TenantStore snapshot+journal recovery, and whole-service recovery with
+// the conservation ledger and bit-identical sketches.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,9 +15,10 @@
 #include "server/service.h"
 #include "server/snapshotter.h"
 #include "server/wal.h"
+#include "frame_corruption_matrix.h"
 #include "util/bytes.h"
-#include "util/crc32.h"
 #include "util/failpoint.h"
+#include "util/frame.h"
 
 namespace streamfreq {
 namespace {
@@ -95,66 +95,60 @@ TEST(WalTest, MissingJournalIsEmpty) {
   EXPECT_TRUE(got.seqnos.empty());
 }
 
-// The load-bearing property: truncation at EVERY byte boundary — through
-// the magic, the length, the CRC, and each payload byte of the final
-// record — yields the intact prefix plus a reported torn tail. Replay
-// never errors and never mis-applies on a torn write.
-TEST(WalTest, TornTailAtEveryTruncationBoundary) {
-  const std::string dir = TempDir("wal_torn");
-  const std::string path = WriteJournal(dir, {{10, 11}, {20}, {30, 31, 32}});
-  const std::string full = ReadFileBytes(path);
-  // Record sizes: header 20 + payload (16 + 8*count).
-  const size_t rec1 = 20 + 16 + 8 * 2;
-  const size_t rec2 = 20 + 16 + 8 * 1;
-  ASSERT_EQ(full.size(), rec1 + rec2 + (20 + 16 + 8 * 3));
+// The shared frame corruption matrix (tests/frame_corruption_matrix.h)
+// against ReplayWal, with the journal's own policy: truncation at every
+// byte, every header and payload bit flip, wrong magic, and oversized
+// lengths each end the intact prefix. Every case runs behind an intact
+// record, which must still apply, and the discarded byte count must be
+// exact — also when an intact record follows the damage, because skipping
+// over damage would silently reorder history.
+TEST(WalTest, CorruptionMatrix) {
+  const std::string dir = TempDir("wal_matrix");
+  const std::string journal =
+      ReadFileBytes(WriteJournal(dir, {{10, 11}, {20, 21}, {30, 31}}));
+  const size_t rec = frame::kHeaderSize + 16 + 8 * 2;
+  ASSERT_EQ(journal.size(), 3 * rec);
+  const std::string lead = journal.substr(0, rec);
+  const std::string path = dir + "/matrix.sfw";
 
-  for (size_t keep = 0; keep <= full.size(); ++keep) {
-    WriteFileBytes(path, full.substr(0, keep));
-    Replayed got;
-    auto stats = Replay(path, 0, &got);
-    ASSERT_TRUE(stats.ok()) << "keep=" << keep << ": "
-                            << stats.status().ToString();
-    const size_t expect_records =
-        keep >= full.size() ? 3 : keep >= rec1 + rec2 ? 2 : keep >= rec1 ? 1
-                                                                         : 0;
-    EXPECT_EQ(stats->records_applied, expect_records) << "keep=" << keep;
-    const bool boundary =
-        keep == 0 || keep == rec1 || keep == rec1 + rec2 || keep == full.size();
-    EXPECT_EQ(stats->torn_tail, !boundary) << "keep=" << keep;
-    if (!boundary) {
-      EXPECT_GT(stats->discarded_bytes, 0u) << "keep=" << keep;
+  FrameFormat f;
+  f.name = "wal record";
+  f.policy = FramePolicy::kTornTail;
+  f.max_payload = kWalMaxPayloadBytes;
+  f.frame = journal.substr(rec, rec);
+  f.payload = f.frame.substr(frame::kHeaderSize);
+  f.follow = journal.substr(2 * rec);
+  f.decode = [&](const std::string& bytes) {
+    WriteFileBytes(path, lead + bytes);
+    std::vector<std::string> records;
+    auto stats = ReplayWal(path, 0,
+                           [&records](uint64_t seqno,
+                                      std::span<const ItemId> items) {
+                             std::string payload;
+                             ByteWriter w(&payload);
+                             w.PutU64(seqno);
+                             w.PutU64(items.size());
+                             for (const ItemId id : items) w.PutU64(id);
+                             records.push_back(std::move(payload));
+                             return Status::OK();
+                           });
+    FrameDecoded got;
+    got.status = stats.status();
+    if (!stats.ok()) return got;
+    // The intact prefix applies whole, and replay accounts for every byte.
+    EXPECT_GE(stats->records_applied, 1u);
+    EXPECT_EQ(records.size(), stats->records_applied);
+    if (!records.empty()) {
+      EXPECT_EQ(records[0], lead.substr(frame::kHeaderSize));
     }
-    // The applied prefix is byte-exact, never partial.
-    std::vector<ItemId> expect_items;
-    if (expect_records >= 1) expect_items.insert(expect_items.end(), {10, 11});
-    if (expect_records >= 2) expect_items.push_back(20);
-    if (expect_records >= 3) {
-      expect_items.insert(expect_items.end(), {30, 31, 32});
-    }
-    EXPECT_EQ(got.items, expect_items) << "keep=" << keep;
-  }
-}
-
-// A flipped byte in the middle record ends replay there — even though a
-// fully intact record follows. Skipping over damage would silently reorder
-// history.
-TEST(WalTest, BitFlipStopsReplayAtTheDamage) {
-  const std::string dir = TempDir("wal_bitflip");
-  const std::string path = WriteJournal(dir, {{1, 2}, {3, 4}, {5, 6}});
-  std::string data = ReadFileBytes(path);
-  const size_t rec = 20 + 16 + 8 * 2;
-  for (const size_t victim : {rec + 25, rec + 5, rec}) {  // payload, len, magic
-    std::string damaged = data;
-    damaged[victim] ^= 0x40;
-    WriteFileBytes(path, damaged);
-    Replayed got;
-    auto stats = Replay(path, 0, &got);
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_EQ(stats->records_applied, 1u);
-    EXPECT_TRUE(stats->torn_tail);
-    EXPECT_EQ(stats->discarded_bytes, data.size() - rec);
-    EXPECT_EQ(got.items, (std::vector<ItemId>{1, 2}));
-  }
+    if (records.size() >= 2) got.payload = records[1];
+    EXPECT_EQ(stats->torn_tail, stats->discarded_bytes > 0);
+    EXPECT_EQ(stats->valid_bytes + stats->discarded_bytes,
+              lead.size() + bytes.size());
+    got.discarded_bytes = stats->discarded_bytes;
+    return got;
+  };
+  RunFrameCorruptionMatrix(f);
 }
 
 // Records at or below the snapshot's base seqno are the crash window
@@ -204,13 +198,7 @@ TEST(WalTest, CrcValidMalformedPayloadIsCorruption) {
   pw.PutU64(5);  // claims 5 items...
   pw.PutU64(42);  // ...but carries 1
   std::string record;
-  ByteWriter w(&record);
-  w.PutU64(kWalMagic);
-  w.PutU64(payload.size());
-  const uint32_t crc =
-      crc32c::Mask(crc32c::Value(payload.data(), payload.size()));
-  w.PutBytes(&crc, sizeof(crc));
-  record += payload;
+  frame::Append(kWalMagic, payload, &record);
   WriteFileBytes(path, record);
   Replayed got;
   EXPECT_TRUE(Replay(path, 0, &got).status().IsCorruption());

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "frame_corruption_matrix.h"
 #include "util/failpoint.h"
 #include "verify/program.h"
 
@@ -145,7 +146,9 @@ TEST(SketchIoTest, SavedSketchStaysMergeable) {
 // ---------------------------------------------------------------------------
 // Corruption matrix + crash-consistency. Every adversarial mutation of a
 // valid file must come back as a clean Corruption status — no crash, no UB
-// (this file runs under the ASan/UBSan step of scripts/check.sh).
+// (this file runs under the ASan/UBSan step of scripts/check.sh). The
+// matrix itself is shared with the other frame formats
+// (tests/frame_corruption_matrix.h).
 
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -161,73 +164,23 @@ void WriteAll(const std::string& path, const std::string& data) {
   EXPECT_TRUE(static_cast<bool>(out)) << path;
 }
 
-TEST(SketchIoTest, CorruptionMatrixTruncationAtEveryFieldBoundary) {
-  const std::string path = TempPath("sfq_sketch_matrix_trunc.skf");
-  ASSERT_TRUE(WriteSketchFile(path, MakeLoadedSketch()).ok());
-  const std::string valid = ReadAll(path);
-  ASSERT_GT(valid.size(), 20u);
-
-  // Field boundaries of the header (magic | length | crc | payload) plus
-  // mid-field cuts and the one-byte-short file.
-  const size_t cuts[] = {0, 1, 7, 8, 12, 15, 16, 19, 20, 21,
-                         20 + (valid.size() - 20) / 2, valid.size() - 1};
-  for (const size_t cut : cuts) {
-    WriteAll(path, valid.substr(0, cut));
-    const Status s = ReadSketchFile(path).status();
-    EXPECT_TRUE(s.IsCorruption()) << "cut at " << cut << ": " << s.ToString();
-  }
-  std::remove(path.c_str());
-}
-
-TEST(SketchIoTest, CorruptionMatrixSingleBitFlips) {
-  const std::string path = TempPath("sfq_sketch_matrix_bits.skf");
-  ASSERT_TRUE(WriteSketchFile(path, MakeLoadedSketch()).ok());
-  const std::string valid = ReadAll(path);
-
-  // Every bit of the header, then a stride through the payload. A flip in
-  // the length field may masquerade as truncation or an implausible length;
-  // all of those are Corruption too, never a crash.
-  std::vector<size_t> byte_positions;
-  for (size_t i = 0; i < 20; ++i) byte_positions.push_back(i);
-  for (size_t i = 20; i < valid.size(); i += 37) byte_positions.push_back(i);
-  for (const size_t pos : byte_positions) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string mutated = valid;
-      mutated[pos] = static_cast<char>(
-          static_cast<unsigned char>(mutated[pos]) ^ (1u << bit));
-      WriteAll(path, mutated);
-      const Status s = ReadSketchFile(path).status();
-      EXPECT_TRUE(s.IsCorruption())
-          << "flip byte " << pos << " bit " << bit << ": " << s.ToString();
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(SketchIoTest, CorruptionMatrixWrongMagicAndVersion) {
-  const std::string path = TempPath("sfq_sketch_matrix_magic.skf");
-  ASSERT_TRUE(WriteSketchFile(path, MakeLoadedSketch()).ok());
-  const std::string valid = ReadAll(path);
-
-  // A future-version tag (last magic byte bumped) must be rejected, as must
-  // an entirely alien magic.
-  std::string version_bump = valid;
-  version_bump[7] = static_cast<char>(version_bump[7] + 1);
-  WriteAll(path, version_bump);
-  EXPECT_TRUE(ReadSketchFile(path).status().IsCorruption());
-
-  std::string alien = valid;
-  for (size_t i = 0; i < 8; ++i) alien[i] = 'Z';
-  WriteAll(path, alien);
-  EXPECT_TRUE(ReadSketchFile(path).status().IsCorruption());
-  std::remove(path.c_str());
-}
-
-TEST(SketchIoTest, TrailingBytesAreCorruption) {
-  const std::string path = TempPath("sfq_sketch_matrix_trailing.skf");
-  ASSERT_TRUE(WriteSketchFile(path, MakeLoadedSketch()).ok());
-  WriteAll(path, ReadAll(path) + "junk");
-  EXPECT_TRUE(ReadSketchFile(path).status().IsCorruption());
+TEST(SketchIoTest, CorruptionMatrix) {
+  const std::string path = TempPath("sfq_blob_matrix.skf");
+  FrameFormat f;
+  f.name = "blob file";
+  f.max_payload = kMaxBlobPayloadBytes;
+  f.payload = "blob corruption matrix payload";
+  ASSERT_TRUE(WriteBlobFileAtomic(path, kSketchFileMagic, f.payload).ok());
+  f.frame = ReadAll(path);
+  f.decode = [&path](const std::string& bytes) {
+    WriteAll(path, bytes);
+    auto payload = ReadBlobFileVerified(path, kSketchFileMagic);
+    FrameDecoded got;
+    got.status = payload.status();
+    if (payload.ok()) got.payload = *payload;
+    return got;
+  };
+  RunFrameCorruptionMatrix(f);
   std::remove(path.c_str());
 }
 

@@ -38,6 +38,7 @@ RULE_IDS = [
     "failpoint-site",
     "server-opcode",
     "durable-write",
+    "raw-frame",
     "simd-ifdef",
     "layer-dag",
     "lock-order",

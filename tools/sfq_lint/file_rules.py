@@ -1,4 +1,5 @@
-"""Per-file rules: the 11 v1 rules ported onto the tokenizer, plus durable-write.
+"""Per-file rules: the 11 v1 rules ported onto the tokenizer, plus durable-write
+and raw-frame.
 
 Behavior is intentionally identical to the v1 single-file linter on the
 fixture corpus (proven by `--fixtures` and lint_selfcheck_test); the only
@@ -50,6 +51,8 @@ class FileLinter:
         if in_src:
             self.check_row_seed()
             self.check_unguarded_member()
+            if not self.path.startswith("src/util/"):
+                self.check_raw_frame()
         if in_src or in_tools:
             self.check_raw_geometry()
             if self.path != "src/util/mutex.h":
@@ -313,6 +316,28 @@ class FileLinter:
                     "rename) or the WAL (src/server/wal.cc) so a crash "
                     "cannot publish a half-written file recovery would "
                     "trust.",
+                )
+
+    # -- raw-frame ---------------------------------------------------------
+    RAW_FRAME_RE = re.compile(r"\bcrc32c\s*::")
+
+    def check_raw_frame(self):
+        """Checksummed frames are built and checked in src/util/frame only.
+
+        RPC frames, WAL records and blob files share one header (magic,
+        length, masked CRC-32C). A crc32c call elsewhere in src/ is a second
+        copy of that codec, free to drift from the golden bytes the others
+        keep.
+        """
+        for idx, code in enumerate(self.code):
+            if self.RAW_FRAME_RE.search(code):
+                self.report(
+                    idx,
+                    "raw-frame",
+                    "crc32c used outside src/util/; build and check frames "
+                    "through util/frame.h (frame::Append / ParseHeader / "
+                    "VerifyPayload / Split) so the frame layout has one "
+                    "definition.",
                 )
 
     # -- simd-ifdef --------------------------------------------------------
