@@ -1,6 +1,5 @@
 #include "core/lossy_counting.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/logging.h"
@@ -64,11 +63,7 @@ std::vector<ItemCount> LossyCounting::Candidates(size_t k) const {
   for (const auto& [id, e] : entries_) {
     out.push_back({id, e.f + e.delta});
   }
-  std::sort(out.begin(), out.end(), [](const ItemCount& a, const ItemCount& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.item < b.item;
-  });
-  if (out.size() > k) out.resize(k);
+  RankByCount(&out, k);
   return out;
 }
 
@@ -78,10 +73,7 @@ std::vector<ItemCount> LossyCounting::IcebergQuery(double threshold) const {
   for (const auto& [id, e] : entries_) {
     if (static_cast<double>(e.f) >= cut) out.push_back({id, e.f});
   }
-  std::sort(out.begin(), out.end(), [](const ItemCount& a, const ItemCount& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.item < b.item;
-  });
+  RankByCount(&out);
   return out;
 }
 

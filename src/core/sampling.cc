@@ -19,11 +19,7 @@ std::vector<ItemCount> RankedTopK(const std::unordered_map<ItemId, Count>& table
     out.push_back({id, static_cast<Count>(std::llround(
                            static_cast<double>(c) * scale))});
   }
-  std::sort(out.begin(), out.end(), [](const ItemCount& a, const ItemCount& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.item < b.item;
-  });
-  if (out.size() > k) out.resize(k);
+  RankByCount(&out, k);
   return out;
 }
 
@@ -221,11 +217,7 @@ std::vector<ItemCount> CountingSampling::Candidates(size_t k) const {
   out.reserve(sample_.size());
   const Count correction = static_cast<Count>(std::llround(tau_ - 1.0));
   for (const auto& [id, c] : sample_) out.push_back({id, c + correction});
-  std::sort(out.begin(), out.end(), [](const ItemCount& a, const ItemCount& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.item < b.item;
-  });
-  if (out.size() > k) out.resize(k);
+  RankByCount(&out, k);
   return out;
 }
 

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <iterator>
 
 #include "util/failpoint.h"
 #include "util/frame.h"
@@ -76,30 +75,34 @@ Result<std::string> ReadBlobFileVerified(const std::string& path,
 
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open for reading: " + path);
-  // Sized by the file, never by its length field: a flipped high bit in
-  // the header cannot claim a giant allocation.
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-
-  if (fp.action == FailAction::kBitFlip && data.size() > frame::kHeaderSize) {
-    // Bit rot between write and read, in the payload; the CRC must catch it.
-    const uint64_t bit = frame::kHeaderSize * 8 +
-                         fp.param % ((data.size() - frame::kHeaderSize) * 8);
-    data[bit / 8] = static_cast<char>(
-        static_cast<unsigned char>(data[bit / 8]) ^ (1u << (bit % 8)));
-  }
-
-  std::string_view rest = data;
-  std::string_view payload;
-  Status status = frame::Split(&rest, magic, kMaxBlobPayloadBytes, &payload);
-  // A complete file has nothing after the payload; trailing bytes mean the
-  // length field and the contents disagree.
-  if (status.ok() && !rest.empty()) {
-    status = Status::Corruption("trailing bytes after blob payload");
-  }
+  char header_bytes[frame::kHeaderSize];
+  in.read(header_bytes, sizeof(header_bytes));
+  frame::Header header;
+  Status status = frame::ParseHeader(
+      std::string_view(header_bytes, static_cast<size_t>(in.gcount())), magic,
+      kMaxBlobPayloadBytes, &header);
   if (!status.ok()) return Status::Corruption(status.message() + ": " + path);
-  data.erase(0, frame::kHeaderSize);
-  return data;
+
+  // The payload buffer is sized by the file, never by its length field: a
+  // flipped high bit in the header cannot claim a giant allocation. A file
+  // longer or shorter than the header declares fails VerifyPayload.
+  in.seekg(0, std::ios::end);
+  const std::streamoff rest = in.tellg() - std::streamoff{frame::kHeaderSize};
+  in.seekg(std::streamoff{frame::kHeaderSize});
+  std::string payload(rest > 0 ? static_cast<size_t>(rest) : 0, '\0');
+  in.read(payload.data(), static_cast<std::streamsize>(payload.size()));
+  if (!in) return Status::IoError("read failed: " + path);
+
+  if (fp.action == FailAction::kBitFlip && !payload.empty()) {
+    // Bit rot between write and read, in the payload; the CRC must catch it.
+    const uint64_t bit = fp.param % (payload.size() * 8);
+    payload[bit / 8] = static_cast<char>(
+        static_cast<unsigned char>(payload[bit / 8]) ^ (1u << (bit % 8)));
+  }
+
+  status = frame::VerifyPayload(header, payload);
+  if (!status.ok()) return Status::Corruption(status.message() + ": " + path);
+  return payload;
 }
 
 Status WriteSketchFile(const std::string& path, const CountSketch& sketch) {

@@ -229,11 +229,7 @@ std::vector<ItemCount> SpaceSaving::Candidates(size_t k) const {
   std::vector<ItemCount> out;
   out.reserve(heap_.size());
   for (const Slot& s : heap_) out.push_back({s.item, s.count});
-  std::sort(out.begin(), out.end(), [](const ItemCount& a, const ItemCount& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.item < b.item;
-  });
-  if (out.size() > k) out.resize(k);
+  RankByCount(&out, k);
   return out;
 }
 
@@ -242,10 +238,7 @@ std::vector<ItemCount> SpaceSaving::GuaranteedAtLeast(Count threshold) const {
   for (const Slot& s : heap_) {
     if (s.count - s.error >= threshold) out.push_back({s.item, s.count});
   }
-  std::sort(out.begin(), out.end(), [](const ItemCount& a, const ItemCount& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.item < b.item;
-  });
+  RankByCount(&out);
   return out;
 }
 

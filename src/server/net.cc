@@ -124,28 +124,25 @@ Status SendFrame(int fd, std::string_view payload) {
 }
 
 Result<std::string> RecvFrame(int fd) {
-  std::string bytes(frame::kHeaderSize, '\0');
+  char header_bytes[frame::kHeaderSize];
   size_t got = 0;
-  STREAMFREQ_RETURN_NOT_OK(ReadAll(fd, bytes.data(), bytes.size(), &got));
+  STREAMFREQ_RETURN_NOT_OK(
+      ReadAll(fd, header_bytes, sizeof(header_bytes), &got));
   if (got == 0) return Status::NotFound("connection closed");
-  if (got < bytes.size()) {
+  if (got < sizeof(header_bytes)) {
     return Status::Corruption("connection closed inside a frame header");
   }
-  uint64_t payload_len;
-  STREAMFREQ_RETURN_NOT_OK(frame::ParseHeader(bytes, kFrameMagic,
-                                              kMaxPayloadBytes, &payload_len));
-  bytes.resize(frame::kHeaderSize + static_cast<size_t>(payload_len));
-  STREAMFREQ_RETURN_NOT_OK(
-      ReadAll(fd, bytes.data() + frame::kHeaderSize, payload_len, &got));
-  if (got < payload_len) {
+  frame::Header header;
+  STREAMFREQ_RETURN_NOT_OK(frame::ParseHeader(
+      std::string_view(header_bytes, sizeof(header_bytes)), kFrameMagic,
+      kMaxPayloadBytes, &header));
+  std::string payload(static_cast<size_t>(header.payload_len), '\0');
+  STREAMFREQ_RETURN_NOT_OK(ReadAll(fd, payload.data(), payload.size(), &got));
+  if (got < payload.size()) {
     return Status::Corruption("connection closed inside a frame payload");
   }
-  std::string_view rest = bytes;
-  std::string_view payload;
-  STREAMFREQ_RETURN_NOT_OK(
-      frame::Split(&rest, kFrameMagic, kMaxPayloadBytes, &payload));
-  bytes.erase(0, frame::kHeaderSize);
-  return bytes;
+  STREAMFREQ_RETURN_NOT_OK(frame::VerifyPayload(header, payload));
+  return payload;
 }
 
 }  // namespace streamfreq

@@ -5,6 +5,15 @@
 
 namespace streamfreq {
 
+void RankByCount(std::vector<ItemCount>* entries, size_t k) {
+  std::sort(entries->begin(), entries->end(),
+            [](const ItemCount& a, const ItemCount& b) {
+              if (a.count != b.count) return a.count > b.count;
+              return a.item < b.item;
+            });
+  if (entries->size() > k) entries->resize(k);
+}
+
 Count ExactCounter::TotalCount() const {
   Count n = 0;
   for (const auto& [item, c] : counts_) n += c;
@@ -15,10 +24,7 @@ std::vector<ItemCount> ExactCounter::SortedByCount() const {
   std::vector<ItemCount> out;
   out.reserve(counts_.size());
   for (const auto& [item, c] : counts_) out.push_back({item, c});
-  std::sort(out.begin(), out.end(), [](const ItemCount& a, const ItemCount& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.item < b.item;
-  });
+  RankByCount(&out);
   return out;
 }
 

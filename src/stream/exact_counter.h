@@ -24,6 +24,10 @@ struct ItemCount {
   friend bool operator==(const ItemCount&, const ItemCount&) = default;
 };
 
+/// Sorts `entries` by descending count, ties broken by ascending id so the
+/// ranking is deterministic, and keeps at most the first `k`.
+void RankByCount(std::vector<ItemCount>* entries, size_t k = SIZE_MAX);
+
 /// Exact per-item counting with the derived statistics the paper's analysis
 /// uses. Counts may go negative under turnstile updates.
 class ExactCounter {

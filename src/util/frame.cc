@@ -20,7 +20,7 @@ void Append(uint64_t magic, std::string_view payload, std::string* out) {
 }
 
 Status ParseHeader(std::string_view bytes, uint64_t magic, uint64_t max_payload,
-                   uint64_t* payload_len) {
+                   Header* header) {
   if (bytes.size() < kHeaderSize) {
     return Status::Corruption("frame header truncated");
   }
@@ -31,24 +31,34 @@ Status ParseHeader(std::string_view bytes, uint64_t magic, uint64_t max_payload,
   if (len > max_payload) {
     return Status::Corruption("frame payload length exceeds bound");
   }
-  *payload_len = len;
+  header->payload_len = len;
+  std::memcpy(&header->masked_crc, bytes.data() + 16, 4);
+  return Status::OK();
+}
+
+Status VerifyPayload(const Header& header, std::string_view payload) {
+  if (payload.size() < header.payload_len) {
+    return Status::Corruption("frame payload truncated");
+  }
+  if (payload.size() > header.payload_len) {
+    return Status::Corruption("trailing bytes after frame payload");
+  }
+  if (crc32c::Unmask(header.masked_crc) !=
+      crc32c::Value(payload.data(), payload.size())) {
+    return Status::Corruption("frame payload checksum mismatch");
+  }
   return Status::OK();
 }
 
 Status Split(std::string_view* data, uint64_t magic, uint64_t max_payload,
              std::string_view* payload) {
-  uint64_t len;
-  STREAMFREQ_RETURN_NOT_OK(ParseHeader(*data, magic, max_payload, &len));
-  if (data->size() - kHeaderSize < len) {
-    return Status::Corruption("frame payload truncated");
-  }
+  Header header;
+  STREAMFREQ_RETURN_NOT_OK(ParseHeader(*data, magic, max_payload, &header));
+  // substr clamps a length the bytes do not back; VerifyPayload then
+  // reports the truncation.
   const std::string_view body =
-      data->substr(kHeaderSize, static_cast<size_t>(len));
-  uint32_t masked_crc;
-  std::memcpy(&masked_crc, data->data() + 16, 4);
-  if (crc32c::Unmask(masked_crc) != crc32c::Value(body.data(), body.size())) {
-    return Status::Corruption("frame payload checksum mismatch");
-  }
+      data->substr(kHeaderSize, static_cast<size_t>(header.payload_len));
+  STREAMFREQ_RETURN_NOT_OK(VerifyPayload(header, body));
   *payload = body;
   data->remove_prefix(kHeaderSize + body.size());
   return Status::OK();

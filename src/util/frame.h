@@ -28,11 +28,22 @@ inline constexpr size_t kHeaderSize = 20;
 /// Appends one frame of `payload` under `magic` to `*out`.
 void Append(uint64_t magic, std::string_view payload, std::string* out);
 
+/// A parsed header: the payload length, within the caller's bound, and the
+/// masked CRC the payload must match.
+struct Header {
+  uint64_t payload_len = 0;
+  uint32_t masked_crc = 0;
+};
+
 /// Parses the header at the front of `bytes`: the magic must equal `magic`
 /// and the declared length must not exceed `max_payload`, so a streaming
-/// reader may size its buffer by `*payload_len`.
+/// reader may size its buffer by `header->payload_len`.
 Status ParseHeader(std::string_view bytes, uint64_t magic, uint64_t max_payload,
-                   uint64_t* payload_len);
+                   Header* header);
+
+/// Checks that `payload` is exactly the payload `header` declares: its
+/// length, then its CRC.
+Status VerifyPayload(const Header& header, std::string_view payload);
 
 /// Splits one complete, CRC-verified frame off the front of `*data`: on OK,
 /// `*payload` views its payload and `*data` is advanced past it. On error

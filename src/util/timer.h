@@ -25,11 +25,6 @@ class Timer {
     return static_cast<double>(ElapsedNanos()) * 1e-9;
   }
 
-  /// Elapsed time in milliseconds (floating point).
-  double ElapsedMillis() const {
-    return static_cast<double>(ElapsedNanos()) * 1e-6;
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

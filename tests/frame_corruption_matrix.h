@@ -10,7 +10,8 @@
 //   * every header bit flipped;
 //   * every payload bit flipped;
 //   * wrong magic and a future version tag;
-//   * an oversized declared length, past the bound and within it;
+//   * an oversized declared length, past the bound (rejected by the bound)
+//     and at it (rejected as truncation);
 //   * trailing bytes.
 //
 // What "rejected" means is the format's policy. Under kCorruption the entry
@@ -27,6 +28,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "util/frame.h"
 #include "util/status.h"
@@ -57,6 +59,9 @@ struct FrameFormat {
   std::string follow;
   std::function<FrameDecoded(const std::string& bytes)> decode;
 };
+
+/// What util/frame says when a declared length exceeds the caller's bound.
+inline constexpr std::string_view kBoundMessage = "exceeds bound";
 
 namespace frame_matrix_internal {
 
@@ -141,12 +146,25 @@ inline void RunFrameCorruptionMatrix(const FrameFormat& f) {
   future[7] = static_cast<char>(future[7] + 1);
   ExpectRejected(f, future, "future version tag");
 
-  // A declared length past the bound, and one within it that the bytes do
-  // not back: both rejected before anything is sized by them.
-  ExpectRejected(f, WithLength(f.frame, f.max_payload + 1),
-                 "length past the bound");
-  ExpectRejected(f, WithLength(f.frame, f.max_payload),
-                 "length at the bound");
+  // A declared length past the bound, and one at it that the bytes do not
+  // back: both rejected before anything is sized by them. Both are
+  // Corruption, so the message tells them apart: the bound itself rejects
+  // the first, and only the truncation behind it rejects the second. That
+  // pins each format's bound from both sides. A journal's torn tail looks
+  // the same either way; the WAL tests check its bound with records whose
+  // bytes back the length.
+  const std::string past = WithLength(f.frame, f.max_payload + 1);
+  const std::string at = WithLength(f.frame, f.max_payload);
+  ExpectRejected(f, past, "length past the bound");
+  ExpectRejected(f, at, "length at the bound");
+  if (f.policy == FramePolicy::kCorruption) {
+    const Status past_status = f.decode(past).status;
+    EXPECT_NE(past_status.message().find(kBoundMessage), std::string::npos)
+        << f.name << ": length past the bound: " << past_status.ToString();
+    const Status at_status = f.decode(at).status;
+    EXPECT_EQ(at_status.message().find(kBoundMessage), std::string::npos)
+        << f.name << ": length at the bound: " << at_status.ToString();
+  }
 
   // Trailing bytes: the length field and the contents disagree. A journal
   // keeps the intact frame and drops the tail.

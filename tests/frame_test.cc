@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -61,20 +62,39 @@ TEST(FrameCodecTest, AppendThenSplitRoundTrips) {
 TEST(FrameCodecTest, ParseHeaderChecksMagicThenBound) {
   std::string bytes;
   frame::Append(kMagic, std::string(100, 'p'), &bytes);
-  uint64_t len = 0;
-  ASSERT_TRUE(frame::ParseHeader(bytes, kMagic, 100, &len).ok());
-  EXPECT_EQ(len, 100u);
+  frame::Header header;
+  ASSERT_TRUE(frame::ParseHeader(bytes, kMagic, 100, &header).ok());
+  EXPECT_EQ(header.payload_len, 100u);
+  uint32_t masked_crc;
+  std::memcpy(&masked_crc, bytes.data() + 16, 4);
+  EXPECT_EQ(header.masked_crc, masked_crc);
 
   // One byte over the caller's bound, another format's magic, and a header
   // one byte short are all Corruption, and leave the output untouched.
-  uint64_t untouched = 7;
-  EXPECT_TRUE(frame::ParseHeader(bytes, kMagic, 99, &untouched).IsCorruption());
+  frame::Header untouched{7, 7};
+  const Status past = frame::ParseHeader(bytes, kMagic, 99, &untouched);
+  EXPECT_TRUE(past.IsCorruption());
+  EXPECT_NE(past.message().find("exceeds bound"), std::string::npos)
+      << past.ToString();
   EXPECT_TRUE(
       frame::ParseHeader(bytes, kMagic + 1, 100, &untouched).IsCorruption());
   EXPECT_TRUE(frame::ParseHeader(std::string_view(bytes).substr(0, 19), kMagic,
                                  100, &untouched)
                   .IsCorruption());
-  EXPECT_EQ(untouched, 7u);
+  EXPECT_EQ(untouched.payload_len, 7u);
+  EXPECT_EQ(untouched.masked_crc, 7u);
+}
+
+TEST(FrameCodecTest, VerifyPayloadChecksLengthThenCrc) {
+  std::string bytes;
+  frame::Append(kMagic, "payload", &bytes);
+  frame::Header header;
+  ASSERT_TRUE(frame::ParseHeader(bytes, kMagic, 64, &header).ok());
+  const std::string_view payload = std::string_view(bytes).substr(20);
+  EXPECT_TRUE(frame::VerifyPayload(header, payload).ok());
+  EXPECT_TRUE(frame::VerifyPayload(header, "payloa").IsCorruption());
+  EXPECT_TRUE(frame::VerifyPayload(header, "payload!").IsCorruption());
+  EXPECT_TRUE(frame::VerifyPayload(header, "Payload").IsCorruption());
 }
 
 TEST(FrameCodecTest, FailedSplitConsumesNothing) {

@@ -273,8 +273,25 @@ TEST(NetTest, CleanEofVsMidFrameTruncation) {
   EXPECT_TRUE(RecvFrame(reader2.get()).status().IsNotFound());
 }
 
+// The streaming reader verifies the payload's CRC, like DecodeFrame.
+TEST(NetTest, FlippedPayloadBitIsCorruption) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  OwnedFd reader(fds[0]);
+  {
+    OwnedFd writer_fd(fds[1]);
+    std::string frame = EncodeFrame("checksummed payload");
+    frame.back() = static_cast<char>(frame.back() ^ 1);
+    ASSERT_EQ(::write(writer_fd.get(), frame.data(), frame.size()),
+              static_cast<ssize_t>(frame.size()));
+  }
+  const Status status = RecvFrame(reader.get()).status();
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+}
+
 // The streaming reader checks the header's declared length against the
-// bound before it sizes the payload buffer.
+// bound before it sizes the payload buffer: the bound, not the EOF behind
+// the header, is what rejects the frame.
 TEST(NetTest, OversizedDeclaredLengthIsCorruptionBeforeAllocation) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
@@ -287,7 +304,10 @@ TEST(NetTest, OversizedDeclaredLengthIsCorruptionBeforeAllocation) {
     ASSERT_EQ(::write(writer_fd.get(), header.data(), header.size()),
               static_cast<ssize_t>(header.size()));
   }
-  EXPECT_TRUE(RecvFrame(reader.get()).status().IsCorruption());
+  const Status status = RecvFrame(reader.get()).status();
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.message().find(kBoundMessage), std::string::npos)
+      << status.ToString();
 }
 
 TEST(NetTest, OversizedSendRejectedBeforeWrite) {

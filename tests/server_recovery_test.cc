@@ -4,7 +4,9 @@
 // the conservation ledger and bit-identical sketches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -17,6 +19,7 @@
 #include "server/wal.h"
 #include "frame_corruption_matrix.h"
 #include "util/bytes.h"
+#include "util/crc32.h"
 #include "util/failpoint.h"
 #include "util/frame.h"
 
@@ -95,30 +98,24 @@ TEST(WalTest, MissingJournalIsEmpty) {
   EXPECT_TRUE(got.seqnos.empty());
 }
 
-// The shared frame corruption matrix (tests/frame_corruption_matrix.h)
-// against ReplayWal, with the journal's own policy: truncation at every
+// The shared frame corruption matrix (tests/frame_corruption_matrix.h) as
+// seen by ReplayWal, with the journal's own policy: truncation at every
 // byte, every header and payload bit flip, wrong magic, and oversized
-// lengths each end the intact prefix. Every case runs behind an intact
-// record, which must still apply, and the discarded byte count must be
-// exact — also when an intact record follows the damage, because skipping
+// lengths each end the intact prefix. `lead` (whole records, possibly none)
+// must still apply, the discarded byte count must be exact, and an intact
+// `follow` record after the damage must not be reached, because skipping
 // over damage would silently reorder history.
-TEST(WalTest, CorruptionMatrix) {
-  const std::string dir = TempDir("wal_matrix");
-  const std::string journal =
-      ReadFileBytes(WriteJournal(dir, {{10, 11}, {20, 21}, {30, 31}}));
-  const size_t rec = frame::kHeaderSize + 16 + 8 * 2;
-  ASSERT_EQ(journal.size(), 3 * rec);
-  const std::string lead = journal.substr(0, rec);
-  const std::string path = dir + "/matrix.sfw";
-
+FrameFormat WalRecordFormat(const std::string& path, const std::string& lead,
+                            size_t lead_records, const std::string& record,
+                            const std::string& follow) {
   FrameFormat f;
-  f.name = "wal record";
+  f.name = "wal record after " + std::to_string(lead_records) + " records";
   f.policy = FramePolicy::kTornTail;
   f.max_payload = kWalMaxPayloadBytes;
-  f.frame = journal.substr(rec, rec);
-  f.payload = f.frame.substr(frame::kHeaderSize);
-  f.follow = journal.substr(2 * rec);
-  f.decode = [&](const std::string& bytes) {
+  f.frame = record;
+  f.payload = record.substr(frame::kHeaderSize);
+  f.follow = follow;
+  f.decode = [path, lead, lead_records](const std::string& bytes) {
     WriteFileBytes(path, lead + bytes);
     std::vector<std::string> records;
     auto stats = ReplayWal(path, 0,
@@ -136,19 +133,116 @@ TEST(WalTest, CorruptionMatrix) {
     got.status = stats.status();
     if (!stats.ok()) return got;
     // The intact prefix applies whole, and replay accounts for every byte.
-    EXPECT_GE(stats->records_applied, 1u);
+    EXPECT_GE(stats->records_applied, lead_records);
     EXPECT_EQ(records.size(), stats->records_applied);
-    if (!records.empty()) {
-      EXPECT_EQ(records[0], lead.substr(frame::kHeaderSize));
+    std::string_view rest = lead;
+    for (size_t i = 0; i < lead_records && i < records.size(); ++i) {
+      std::string_view payload;
+      EXPECT_TRUE(
+          frame::Split(&rest, kWalMagic, kWalMaxPayloadBytes, &payload).ok());
+      EXPECT_EQ(records[i], payload);
     }
-    if (records.size() >= 2) got.payload = records[1];
+    if (records.size() > lead_records) got.payload = records[lead_records];
     EXPECT_EQ(stats->torn_tail, stats->discarded_bytes > 0);
     EXPECT_EQ(stats->valid_bytes + stats->discarded_bytes,
               lead.size() + bytes.size());
     got.discarded_bytes = stats->discarded_bytes;
     return got;
   };
-  RunFrameCorruptionMatrix(f);
+  return f;
+}
+
+// The matrix twice: on the journal's first record, where a torn record
+// leaves nothing to apply, and behind an intact record, which must apply.
+TEST(WalTest, CorruptionMatrix) {
+  const std::string dir = TempDir("wal_matrix");
+  const std::string journal =
+      ReadFileBytes(WriteJournal(dir, {{10, 11}, {20, 21}, {30, 31}}));
+  const size_t rec = frame::kHeaderSize + 16 + 8 * 2;
+  ASSERT_EQ(journal.size(), 3 * rec);
+  const std::string path = dir + "/matrix.sfw";
+  RunFrameCorruptionMatrix(WalRecordFormat(path, "", 0, journal.substr(0, rec),
+                                           journal.substr(rec, rec)));
+  RunFrameCorruptionMatrix(WalRecordFormat(path, journal.substr(0, rec), 1,
+                                           journal.substr(rec, rec),
+                                           journal.substr(2 * rec)));
+}
+
+// Appends a CRC-valid record `seqno` with a `payload_len`-byte payload of
+// zero-valued items, streamed in chunks so the test never holds it whole.
+void AppendZeroRecord(const std::string& path, uint64_t seqno,
+                      uint64_t payload_len) {
+  std::string head;
+  ByteWriter w(&head);
+  w.PutU64(seqno);
+  w.PutU64((payload_len - 16) / 8);
+  const std::string zeros(1 << 20, '\0');
+  uint32_t crc = crc32c::Value(head.data(), head.size());
+  for (uint64_t left = payload_len - 16; left > 0;) {
+    const size_t n = static_cast<size_t>(std::min<uint64_t>(left, zeros.size()));
+    crc = crc32c::Extend(crc, zeros.data(), n);
+    left -= n;
+  }
+  const uint32_t masked_crc = crc32c::Mask(crc);
+  char header[frame::kHeaderSize];
+  std::memcpy(header, &kWalMagic, 8);
+  std::memcpy(header + 8, &payload_len, 8);
+  std::memcpy(header + 16, &masked_crc, 4);
+  std::ofstream out(path, std::ios::binary | std::ios::app);
+  out.write(header, sizeof(header));
+  out.write(head.data(), static_cast<std::streamsize>(head.size()));
+  for (uint64_t left = payload_len - 16; left > 0;) {
+    const size_t n = static_cast<size_t>(std::min<uint64_t>(left, zeros.size()));
+    out.write(zeros.data(), static_cast<std::streamsize>(n));
+    left -= n;
+  }
+  ASSERT_TRUE(out.flush()) << path;
+}
+
+// The WAL's 64 MiB bound, with real bytes behind the declared length (in
+// the matrix, a torn tail looks the same with or without a bound). A whole,
+// CRC-valid record of exactly the bound applies; one 8 bytes longer is not
+// applied but ends the intact prefix.
+TEST(WalTest, RecordLengthBoundIsExact) {
+  const std::string dir = TempDir("wal_bound");
+  // The helper writes what WalWriter writes.
+  const std::string small = dir + "/small.sfw";
+  AppendZeroRecord(small, 1, 16 + 8 * 3);
+  EXPECT_EQ(ReadFileBytes(small),
+            ReadFileBytes(WriteJournal(dir, {{0, 0, 0}})));
+
+  const auto replay = [](const std::string& path, uint64_t* items) {
+    return ReplayWal(path, 0,
+                     [items](uint64_t, std::span<const ItemId> batch) {
+                       *items += batch.size();
+                       return Status::OK();
+                     });
+  };
+
+  const std::string at = dir + "/at.sfw";
+  AppendZeroRecord(at, 1, kWalMaxPayloadBytes);
+  uint64_t items = 0;
+  auto stats = replay(at, &items);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->records_applied, 1u);
+  EXPECT_EQ(items, (kWalMaxPayloadBytes - 16) / 8);
+  EXPECT_FALSE(stats->torn_tail);
+  std::filesystem::remove(at);
+
+  // Behind an intact record, so the bound ends a prefix that applied.
+  const std::string past = WriteJournal(TempDir("wal_bound_past"), {{5}});
+  const uint64_t lead_size = std::filesystem::file_size(past);
+  AppendZeroRecord(past, 2, kWalMaxPayloadBytes + 8);
+  items = 0;
+  stats = replay(past, &items);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->records_applied, 1u);
+  EXPECT_EQ(items, 1u);
+  EXPECT_TRUE(stats->torn_tail);
+  EXPECT_EQ(stats->valid_bytes, lead_size);
+  EXPECT_EQ(stats->discarded_bytes,
+            frame::kHeaderSize + kWalMaxPayloadBytes + 8);
+  std::filesystem::remove(past);
 }
 
 // Records at or below the snapshot's base seqno are the crash window
