@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <set>
 #include <string>
 
+#include "util/crc32.h"
 #include "util/failpoint.h"
 
 namespace streamfreq {
@@ -18,23 +21,127 @@ constexpr uint64_t kCampaignIterations = 40;
 constexpr uint64_t kCampaignIterations = 200;
 #endif
 
-TEST(ChaosTest, SchedulesAreDeterministicBoundedAndParseable) {
-  for (uint64_t index = 0; index < 64; ++index) {
-    const std::string a = ChaosScheduleForIteration(11, index);
-    const std::string b = ChaosScheduleForIteration(11, index);
-    EXPECT_EQ(a, b) << "schedule must be a pure function of (seed, index)";
-    EXPECT_FALSE(a.empty());
-    // Every crash clause must carry a fire budget, or the respawn loop
-    // would never terminate.
-    for (size_t pos = a.find("crash"); pos != std::string::npos;
-         pos = a.find("crash", pos + 1)) {
-      EXPECT_EQ(a[pos + 5], '*') << a;
-    }
-    // And every schedule must be a valid spec for the registry.
-    ScopedFailpoints fp(a, 1);
-    EXPECT_TRUE(fp.status().ok()) << a << ": " << fp.status().ToString();
+// Dispatches to each campaign's schedule function by campaign.
+enum class ChaosCampaign { kLibrary, kServer, kServerRestart, kTree };
+
+std::string ChaosSchedule(ChaosCampaign campaign, uint64_t seed,
+                          uint64_t index) {
+  switch (campaign) {
+    case ChaosCampaign::kLibrary:
+      return ChaosScheduleForIteration(seed, index);
+    case ChaosCampaign::kServer:
+      return ServerChaosScheduleForIteration(seed, index);
+    case ChaosCampaign::kServerRestart:
+      return ServerRestartScheduleForIteration(seed, index);
+    case ChaosCampaign::kTree:
+      return TreeChaosScheduleForIteration(seed, index);
   }
-  EXPECT_NE(ChaosScheduleForIteration(11, 1), ChaosScheduleForIteration(12, 1));
+  return "";
+}
+
+constexpr ChaosCampaign kCampaigns[] = {
+    ChaosCampaign::kLibrary, ChaosCampaign::kServer,
+    ChaosCampaign::kServerRestart, ChaosCampaign::kTree};
+
+TEST(ChaosTest, SchedulesAreDeterministicBoundedAndParseable) {
+  for (const ChaosCampaign campaign : kCampaigns) {
+    for (uint64_t index = 0; index < 64; ++index) {
+      const std::string a = ChaosSchedule(campaign, 11, index);
+      EXPECT_EQ(a, ChaosSchedule(campaign, 11, index))
+          << "schedule must be a pure function of (seed, index)";
+      EXPECT_FALSE(a.empty());
+      // Every crash clause must carry a fire budget: an unbounded
+      // always-crash worker respawns forever, a daemon dies at the same
+      // site forever, and a tree loses every node.
+      std::set<std::string> sites;
+      size_t begin = 0;
+      while (begin <= a.size()) {
+        const size_t end = std::min(a.find(';', begin), a.size());
+        const std::string clause = a.substr(begin, end - begin);
+        const size_t crash = clause.find("=crash");
+        if (crash != std::string::npos) {
+          EXPECT_NE(clause.find('*', crash), std::string::npos) << a;
+          // The kill-restart campaign dies at most once per iteration at a
+          // failpoint, throttled so the death lands mid-stream.
+          if (campaign == ChaosCampaign::kServerRestart) {
+            EXPECT_EQ(clause.substr(crash + 6), "@0.08*1") << a;
+          }
+        }
+        // At most one clause per site: two clauses on one site would make
+        // the later one win silently.
+        const std::string site = clause.substr(0, clause.find('='));
+        EXPECT_TRUE(sites.insert(site).second)
+            << "duplicate clause for " << site << " in " << a;
+        begin = end + 1;
+      }
+      // And every schedule must be a valid spec for the registry.
+      ScopedFailpoints fp(a, 1);
+      EXPECT_TRUE(fp.status().ok()) << a << ": " << fp.status().ToString();
+    }
+    EXPECT_NE(ChaosSchedule(campaign, 11, 1), ChaosSchedule(campaign, 12, 1));
+  }
+}
+
+// Golden schedules: a campaign replays from (seed, index) alone, so any
+// change to how a schedule is drawn changes what every recorded seed
+// reproduces. These literals and digests were taken from the per-campaign
+// schedule functions before they became one; they must never move.
+TEST(ChaosTest, SchedulesMatchGoldenValues) {
+  struct Golden {
+    ChaosCampaign campaign;
+    uint64_t seed;
+    uint64_t index;
+    const char* schedule;
+  };
+  const Golden kGolden[] = {
+      {ChaosCampaign::kLibrary, 42, 0,
+       "ingestor.worker_batch=crash*3;sketch_io.rename=error*1"},
+      {ChaosCampaign::kLibrary, 42, 1, "ingestor.worker_batch=crash*1"},
+      {ChaosCampaign::kLibrary, 11, 7, "batch_queue.push=error@0.02"},
+      {ChaosCampaign::kServer, 42, 0,
+       "server.write=error@0.03;server.publish=error@0.5;"
+       "ingestor.publish=error@0.5"},
+      {ChaosCampaign::kServer, 42, 1,
+       "server.read=error@0.03;server.write=error@0.03;"
+       "batch_queue.pop=stall:1@0.02;ingestor.publish=error@0.5"},
+      {ChaosCampaign::kServer, 11, 7,
+       "server.accept=error@0.1;server.read=error@0.03;"
+       "server.write=error@0.03;ingestor.worker_batch=crash*1"},
+      {ChaosCampaign::kServerRestart, 42, 0,
+       "wal.fsync=crash@0.08*1;wal.append=torn@0.05*1"},
+      {ChaosCampaign::kServerRestart, 42, 1,
+       "snapshot.publish=crash@0.08*1;server.write=error@0.02"},
+      {ChaosCampaign::kServerRestart, 11, 7, "snapshot.publish=crash@0.08*1"},
+      {ChaosCampaign::kTree, 42, 0,
+       "dist.ingest=error@0.05;dist.ship=torn@0.06;dist.deliver=error@0.08"},
+      {ChaosCampaign::kTree, 42, 1, "dist.ship=torn@0.06;dist.ack=error@0.1"},
+      {ChaosCampaign::kTree, 11, 1,
+       "dist.ingest=torn@0.05;dist.ship=error@0.08;dist.deliver=error@0.08;"
+       "dist.node=crash@0.02*2"},
+  };
+  for (const Golden& g : kGolden) {
+    EXPECT_EQ(ChaosSchedule(g.campaign, g.seed, g.index), g.schedule)
+        << "campaign " << static_cast<int>(g.campaign) << " seed " << g.seed
+        << " index " << g.index;
+  }
+  // CRC-32C of the '\n'-joined schedules for indices 0..199, per campaign
+  // (in kCampaigns order) and seed.
+  const uint32_t kDigests[][2] = {{0xD675331EU, 0xCD62308EU},
+                                  {0x222DF615U, 0x03CBB5C9U},
+                                  {0x730B40AAU, 0x71F33DB1U},
+                                  {0xA7C3CA5EU, 0xA746A934U}};
+  for (size_t c = 0; c < std::size(kCampaigns); ++c) {
+    const uint64_t seeds[] = {11, 42};
+    for (size_t s = 0; s < 2; ++s) {
+      std::string joined;
+      for (uint64_t index = 0; index < 200; ++index) {
+        if (index > 0) joined += '\n';
+        joined += ChaosSchedule(kCampaigns[c], seeds[s], index);
+      }
+      EXPECT_EQ(crc32c::Value(joined.data(), joined.size()), kDigests[c][s])
+          << "campaign " << c << " seed " << seeds[s];
+    }
+  }
 }
 
 // The acceptance-criteria campaign: many seeded iterations with faults
@@ -99,51 +206,6 @@ TEST(ChaosTest, InjectedIoFaultsSurfaceAsCleanStatuses) {
   EXPECT_EQ(report->io_round_trips, 3u);
   EXPECT_EQ(report->io_faults, 3u);
   EXPECT_EQ(report->guarantee_failures, 0u);
-}
-
-TEST(ChaosTest, ServerSchedulesAreDeterministicBoundedAndParseable) {
-  for (uint64_t index = 0; index < 64; ++index) {
-    const std::string a = ServerChaosScheduleForIteration(11, index);
-    EXPECT_EQ(a, ServerChaosScheduleForIteration(11, index));
-    EXPECT_FALSE(a.empty());
-    for (size_t pos = a.find("crash"); pos != std::string::npos;
-         pos = a.find("crash", pos + 1)) {
-      EXPECT_EQ(a[pos + 5], '*') << a;
-    }
-    ScopedFailpoints fp(a, 1);
-    EXPECT_TRUE(fp.status().ok()) << a << ": " << fp.status().ToString();
-  }
-}
-
-TEST(ChaosTest, RestartSchedulesAreDeterministicBoundedAndParseable) {
-  for (uint64_t index = 0; index < 64; ++index) {
-    const std::string a = ServerRestartScheduleForIteration(11, index);
-    EXPECT_EQ(a, ServerRestartScheduleForIteration(11, index));
-    EXPECT_FALSE(a.empty());
-    // Every crash clause is budgeted: an unbounded always-crash daemon
-    // would die at the same site forever and the iteration could never
-    // finish its stream.
-    for (size_t pos = a.find("crash"); pos != std::string::npos;
-         pos = a.find("crash", pos + 1)) {
-      EXPECT_EQ(a.substr(pos + 5, 7), "@0.08*1") << a;
-    }
-    // At most one clause per site (two clauses on one site would make the
-    // later one win silently), and the whole spec must parse.
-    std::set<std::string> sites;
-    size_t begin = 0;
-    while (begin <= a.size()) {
-      const size_t end = std::min(a.find(';', begin), a.size());
-      const std::string clause = a.substr(begin, end - begin);
-      const std::string site = clause.substr(0, clause.find('='));
-      EXPECT_TRUE(sites.insert(site).second)
-          << "duplicate clause for " << site << " in " << a;
-      begin = end + 1;
-    }
-    ScopedFailpoints fp(a, 1);
-    EXPECT_TRUE(fp.status().ok()) << a << ": " << fp.status().ToString();
-  }
-  EXPECT_NE(ServerRestartScheduleForIteration(11, 1),
-            ServerRestartScheduleForIteration(12, 1));
 }
 
 // The server-side acceptance campaign: real connections severed at
