@@ -10,8 +10,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <map>
-#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -43,6 +44,99 @@ constexpr uint64_t kProgramSalt = 0xC4A05C4A05ULL;
 constexpr uint64_t kScheduleSalt = 0x5C4EDC4EDULL;
 constexpr uint64_t kMix = 0x9E3779B97F4A7C15ULL;
 
+/// One iteration as the engine hands it to a campaign: what the engine
+/// derived for it, and the verdict and counters the campaign writes back.
+/// A non-OK Status from the campaign is a harness error, not a verdict.
+struct Iteration {
+  Iteration(const ChaosOptions& options_in, uint64_t index_in,
+            std::string schedule_in, std::string scratch_in)
+      : options(options_in),
+        index(index_in),
+        schedule(std::move(schedule_in)),
+        scratch(std::move(scratch_in)) {}
+
+  const ChaosOptions& options;
+  const uint64_t index;
+  const std::string schedule;  ///< the failpoint spec to arm
+  const std::string scratch;   ///< path prefix for this iteration's files
+  ChaosOutcome outcome = ChaosOutcome::kVerified;
+  std::string detail;
+  ChaosReport counts;  ///< counters only; the engine folds them in
+
+  /// The iteration's seed for one purpose, told apart by `salt`.
+  uint64_t Seed(uint64_t salt) const {
+    return options.seed ^ ((index + salt) * kMix);
+  }
+  FuzzProgram Program() const {
+    return ProgramFromSeed(options.seed ^ kProgramSalt, index);
+  }
+  /// Verdicts. Both return OK: the campaign goes on to the next iteration.
+  Status Fail(std::string why) {
+    outcome = ChaosOutcome::kGuaranteeFailure;
+    detail = std::move(why);
+    return Status::OK();
+  }
+  Status CleanError(const Status& status) {
+    outcome = ChaosOutcome::kCleanError;
+    detail = status.ToString();
+    return Status::OK();
+  }
+};
+
+/// Arms the iteration's schedule in this process; on scope exit records
+/// how often it fired, before the registry disarms and forgets.
+class ArmedSchedule {
+ public:
+  explicit ArmedSchedule(Iteration* it)
+      : it_(it), failpoints_(it->schedule, it->Seed(1)) {}
+  ~ArmedSchedule() {
+    it_->counts.fault_fires = FailpointRegistry::Global().TotalFires();
+  }
+  Status status() const { return failpoints_.status(); }
+
+ private:
+  Iteration* it_;
+  ScopedFailpoints failpoints_;
+};
+
+// ---------------------------------------------------------------------------
+// The checks every campaign shares.
+// ---------------------------------------------------------------------------
+
+VerifySetup SetupFor(const FuzzProgram& bounds, const Oracle& oracle) {
+  return MakeVerifySetup(bounds.k, bounds.epsilon, bounds.width_scale,
+                         bounds.seed, oracle);
+}
+
+/// The paper's Lemma 4/5 check of `sketch` against the oracle of the
+/// stream it really saw: the bounds widen by exactly the shed mass,
+/// nothing more. Returns "" or the first violation.
+std::string CheckEffectiveStream(const CountSketch& sketch,
+                                 const Stream& effective,
+                                 const FuzzProgram& bounds,
+                                 size_t lemma_width) {
+  if (effective.empty()) return "";
+  const Oracle oracle(effective);
+  const std::vector<Violation> violations = CheckCountSketchAgainstOracle(
+      sketch, oracle, SetupFor(bounds, oracle), lemma_width);
+  if (violations.empty()) return "";
+  return violations.front().guarantee + ": " + violations.front().detail;
+}
+
+/// Count-Sketch linearity makes loss-free runs exact, not approximate: the
+/// sketch must serialize to the reference's bytes.
+bool BitIdentical(const CountSketch& got, const CountSketch& want) {
+  std::string got_bytes;
+  std::string want_bytes;
+  got.SerializeTo(&got_bytes);
+  want.SerializeTo(&want_bytes);
+  return got_bytes == want_bytes;
+}
+
+// ---------------------------------------------------------------------------
+// Library campaign: the degraded ParallelIngestor.
+// ---------------------------------------------------------------------------
+
 /// The input multiset minus the recorded spill, in input order. Order is
 /// irrelevant to the oracle (it counts), so any linearization works.
 Stream EffectiveStream(const Stream& stream, const std::vector<ItemId>& spill) {
@@ -62,41 +156,21 @@ Stream EffectiveStream(const Stream& stream, const std::vector<ItemId>& spill) {
   return effective;
 }
 
-struct IterationResult {
-  ChaosOutcome outcome = ChaosOutcome::kVerified;
-  std::string detail;
-  IngestStats stats;
-  uint64_t fires = 0;
-  bool io_attempted = false;
-  bool io_faulted = false;
-};
-
-Result<IterationResult> RunIteration(const ChaosOptions& options,
-                                     const std::string& io_dir,
-                                     uint64_t index) {
-  const FuzzProgram program =
-      ProgramFromSeed(options.seed ^ kProgramSalt, index);
+Status RunLibraryIteration(Iteration* it) {
+  const FuzzProgram program = it->Program();
   STREAMFREQ_ASSIGN_OR_RETURN(Stream stream, MaterializeStream(program));
 
   // Size the sketch for the full stream (what a production deployment
   // would provision for); degraded runs are judged later against what
   // actually arrived.
-  const Oracle full_oracle(stream);
-  const VerifySetup sizing = MakeVerifySetup(
-      program.k, program.epsilon, program.width_scale, program.seed,
-      full_oracle);
+  const VerifySetup sizing = SetupFor(program, Oracle(stream));
   STREAMFREQ_ASSIGN_OR_RETURN(VerifySketchPlan plan,
                               PlanVerifyCountSketch(sizing));
 
-  const std::string schedule =
-      options.failpoints.empty()
-          ? ChaosScheduleForIteration(options.seed, index)
-          : options.failpoints;
-  ScopedFailpoints failpoints(schedule,
-                              options.seed ^ ((index + 1) * kMix));
-  STREAMFREQ_RETURN_NOT_OK(failpoints.status());
+  ArmedSchedule armed(it);
+  STREAMFREQ_RETURN_NOT_OK(armed.status());
 
-  Xoshiro256 rng(options.seed ^ ((index + 7) * kMix));
+  Xoshiro256 rng(it->Seed(7));
   IngestOptions ingest;
   ingest.threads = 2 + static_cast<size_t>(rng.UniformBelow(2));
   ingest.batch_items = size_t{256} << rng.UniformBelow(3);
@@ -107,111 +181,67 @@ Result<IterationResult> RunIteration(const ChaosOptions& options,
   ingest.sample_keep_one_in = 4;
   ingest.record_shed = true;
 
-  IterationResult result;
-  auto finish_fires = [&result] {
-    result.fires = FailpointRegistry::Global().TotalFires();
-  };
-
   const auto factory = [&plan]() { return CountSketch::Make(plan.params); };
   auto ingestor =
       ParallelIngestor<CountSketch>::Make(factory, ingest);
-  if (!ingestor.ok()) {
-    result.outcome = ChaosOutcome::kCleanError;
-    result.detail = ingestor.status().ToString();
-    finish_fires();
-    return result;
-  }
+  if (!ingestor.ok()) return it->CleanError(ingestor.status());
   const Status ingest_status =
       (*ingestor)->Ingest(std::span<const ItemId>(stream));
   Result<CountSketch> merged = (*ingestor)->Finish();
-  result.stats = (*ingestor)->Stats();
+  const IngestStats stats = (*ingestor)->Stats();
   const std::vector<ItemId> spill = (*ingestor)->SpilledItems();
-
-  if (!ingest_status.ok() || !merged.ok()) {
-    result.outcome = ChaosOutcome::kCleanError;
-    result.detail =
-        (!ingest_status.ok() ? ingest_status : merged.status()).ToString();
-    finish_fires();
-    return result;
-  }
+  it->counts.worker_respawns = stats.worker_respawns;
+  it->counts.dropped_items = stats.DroppedItems();
+  if (!ingest_status.ok()) return it->CleanError(ingest_status);
+  if (!merged.ok()) return it->CleanError(merged.status());
 
   // Conservation: every offered item is either in a sketch or accounted
   // dropped, and the recorded spill is exactly the dropped mass.
-  if (result.stats.items_ingested + result.stats.DroppedItems() !=
-          stream.size() ||
-      spill.size() != result.stats.DroppedItems()) {
-    result.outcome = ChaosOutcome::kGuaranteeFailure;
-    result.detail = "mass accounting broken: offered " +
+  if (stats.items_ingested + stats.DroppedItems() != stream.size() ||
+      spill.size() != stats.DroppedItems()) {
+    return it->Fail("mass accounting broken: offered " +
                     std::to_string(stream.size()) + ", ingested " +
-                    std::to_string(result.stats.items_ingested) +
-                    ", dropped " +
-                    std::to_string(result.stats.DroppedItems()) +
-                    ", spill " + std::to_string(spill.size());
-    finish_fires();
-    return result;
+                    std::to_string(stats.items_ingested) + ", dropped " +
+                    std::to_string(stats.DroppedItems()) + ", spill " +
+                    std::to_string(spill.size()));
   }
-
-  // Guarantee check against the effective stream: the bounds widen by
-  // exactly the shed mass, nothing more.
-  const Stream effective = EffectiveStream(stream, spill);
-  if (!effective.empty()) {
-    const Oracle effective_oracle(effective);
-    const VerifySetup check_setup = MakeVerifySetup(
-        program.k, program.epsilon, program.width_scale, program.seed,
-        effective_oracle);
-    const std::vector<Violation> violations = CheckCountSketchAgainstOracle(
-        *merged, effective_oracle, check_setup, plan.lemma_width);
-    if (!violations.empty()) {
-      result.outcome = ChaosOutcome::kGuaranteeFailure;
-      result.detail = violations.front().guarantee + std::string(": ") +
-                      violations.front().detail;
-      finish_fires();
-      return result;
-    }
+  if (std::string why = CheckEffectiveStream(
+          *merged, EffectiveStream(stream, spill), program, plan.lemma_width);
+      !why.empty()) {
+    return it->Fail(std::move(why));
   }
 
   // Round-trip the surviving sketch through persistence with the
   // sketch_io.* failpoints still armed: outcomes are a clean Status or a
   // loaded sketch whose estimates match the in-memory one exactly.
-  if (options.exercise_io) {
-    result.io_attempted = true;
-    const std::string path =
-        io_dir + "/sfq_chaos_" + std::to_string(options.seed) + "_" +
-        std::to_string(index) + ".skf";
-    const Status write_status = WriteSketchFile(path, *merged);
-    if (!write_status.ok()) {
-      result.io_faulted = true;
-    } else {
-      Result<CountSketch> loaded = ReadSketchFile(path);
-      if (!loaded.ok()) {
-        result.io_faulted = true;
-      } else {
-        for (const ItemId q : sizing.probes) {
-          if (loaded->Estimate(q) != merged->Estimate(q)) {
-            result.outcome = ChaosOutcome::kGuaranteeFailure;
-            result.detail =
-                "persistence round trip changed the estimate of item " +
-                std::to_string(q);
-            break;
-          }
-        }
-      }
-    }
+  if (it->options.exercise_io) {
+    it->counts.io_round_trips = 1;
+    const std::string path = it->scratch + ".skf";
+    Result<CountSketch> loaded = Status::IoError("not written");
+    if (WriteSketchFile(path, *merged).ok()) loaded = ReadSketchFile(path);
     std::remove(path.c_str());
     std::remove((path + ".tmp").c_str());
+    if (!loaded.ok()) {
+      it->counts.io_faults = 1;
+      return Status::OK();
+    }
+    for (const ItemId q : sizing.probes) {
+      if (loaded->Estimate(q) != merged->Estimate(q)) {
+        return it->Fail(
+            "persistence round trip changed the estimate of item " +
+            std::to_string(q));
+      }
+    }
   }
-
-  finish_fires();
-  return result;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
-// Server campaign (`sfq chaos --server`): the same contract, but the fault
-// surface is a real SfqServer behind real client connections.
+// The client side of both server campaigns.
 // ---------------------------------------------------------------------------
 
 // Any of these on a request means the connection died under us (the server
-// severed it at a failpoint, or accept dropped it). In this harness every
+// severed it at a failpoint, accept dropped it, or the daemon died). Every
 // tenant exists before ingest starts, so NotFound can only be net.cc's
 // "connection closed".
 bool IsSever(const Status& status) {
@@ -219,7 +249,7 @@ bool IsSever(const Status& status) {
 }
 
 // Pulls `"field":<integer>` out of one tenant's flat object inside the
-// TenantsJson()/statsz JSON.
+// TenantsJson()/statsz JSON; -1 when absent.
 int64_t TenantJsonField(const std::string& json, const std::string& tenant,
                         const std::string& field) {
   const size_t tenant_at = json.find("\"" + tenant + "\":{");
@@ -231,294 +261,320 @@ int64_t TenantJsonField(const std::string& json, const std::string& tenant,
                       10);
 }
 
-struct ServerIterationResult {
-  ChaosOutcome outcome = ChaosOutcome::kVerified;
-  std::string detail;
-  uint64_t fires = 0;
-  uint64_t requests = 0;
-  uint64_t severs = 0;
-  uint64_t stale_serves = 0;
-  uint64_t dropped_items = 0;
-  uint64_t worker_respawns = 0;
-  uint64_t restarts = 0;         ///< daemon relaunches (restart campaign)
-  uint64_t deaths = 0;           ///< failpoint exits + real SIGKILLs
-  uint64_t recoveries = 0;       ///< relaunches reporting recovered state
-  uint64_t identity_checks = 0;  ///< bit-identity verified this iteration
+/// What a server campaign fixes about its client side.
+struct ServerRig {
+  /// Brings a connection back after a sever. `kill` first SIGKILLs the
+  /// daemon (the kill-restart campaign's chunk-boundary death).
+  std::function<Result<SfqClient>(bool kill)> reconnect;
+  std::vector<std::pair<std::string, OverflowPolicy>> tenants;
+  size_t chunk_items = 0;
+  size_t query_every = 0;  ///< a top-k read after every this many chunks
+  uint64_t kill_at = UINT64_MAX;  ///< chunk that SIGKILLs the daemon first
 };
 
-// One tenant's client-side ingest state: its own connection (SfqClient is
-// single-threaded by contract) plus the ack ledger the reconciliation
-// checks against.
-struct TenantDriver {
-  std::string name;
-  std::unique_ptr<SfqClient> client;
-  uint64_t acked_items = 0;
-  uint64_t last_epoch = 0;
-};
+/// Drives a server's tenants the way a careful client would: each tenant
+/// on its own connection (SfqClient is single-threaded by contract) that
+/// comes back after every sever, ingest at most once per chunk, and the
+/// ledger and loss-free export checks at the end. Each step returns "" or
+/// the first broken guarantee.
+class ServerDriver {
+ public:
+  ServerDriver(Iteration* it, ServerRig rig) : it_(it), rig_(std::move(rig)) {
+    for (const auto& [name, policy] : rig_.tenants) {
+      tenants_.emplace_back(name, policy);
+    }
+  }
 
-// (Re)connects a driver. Connect only fails if the listener is gone —
-// which no schedule in this campaign does on purpose, so that IS a dead
-// server and the caller turns it into a guarantee failure.
-Status Reconnect(const std::string& socket_path, TenantDriver* driver) {
-  auto client = SfqClient::Connect(socket_path);
-  STREAMFREQ_RETURN_NOT_OK(client.status());
-  driver->client = std::make_unique<SfqClient>(std::move(*client));
-  return Status::OK();
-}
+  /// Creates every tenant, then ingests `stream` into each one in chunks.
+  std::string CreateAndIngest(const Stream& stream,
+                              const CountSketchParams& params) {
+    for (size_t i = 0; i < tenants_.size(); ++i) {
+      Tenant& t = tenants_[i];
+      if (std::string why = Reconnect(t, "create"); !why.empty()) return why;
+      TenantSpec spec;
+      spec.depth = params.depth;
+      spec.width = params.width;
+      spec.seed = params.seed;
+      spec.threads = 2;
+      spec.batch_items = 512;
+      spec.queue_batches = 4;
+      spec.push_timeout_ms = 2;
+      spec.policy = t.policy;
+      spec.tracked = 256;
+      // A create can be applied and then severed before the ack, so
+      // "already exists" on the retry is success.
+      std::string why = Retry(i, "create", [&](SfqClient& client) {
+        const Status status = client.CreateTenant(t.name, spec);
+        const bool exists =
+            status.IsInvalidArgument() &&
+            status.message().find("already exists") != std::string::npos;
+        return exists ? Status::OK() : status;
+      });
+      if (!why.empty()) return why;
+    }
+    // At most once per chunk: after a sever the client cannot know whether
+    // the chunk was applied (lost ack) or lost before the read, so it moves
+    // on and reconciliation trusts the server-side ledger, never the acks.
+    for (Tenant& t : tenants_) {
+      size_t chunk = 0;
+      for (size_t begin = 0; begin < stream.size();
+           begin += rig_.chunk_items, ++chunk) {
+        if (chunk == rig_.kill_at) {
+          std::string why = Reconnect(t, "SIGKILL", /*kill=*/true);
+          if (!why.empty()) return why;
+        }
+        const size_t len = std::min(rig_.chunk_items, stream.size() - begin);
+        const Status status = t.client->Ingest(
+            t.name, std::span<const ItemId>(stream.data() + begin, len));
+        // Any other error is an explicit server-side rejection (admission
+        // control or a poisoned journal), counted in rejected_items.
+        if (status.ok()) {
+          t.acked_items += len;
+        } else if (IsSever(status)) {
+          if (std::string why = Sever(t, "ingest"); !why.empty()) {
+            return why;
+          }
+        }
+        // Interleaved reads exercise snapshot staleness.
+        if (chunk % rig_.query_every == rig_.query_every - 1) {
+          if (std::string why = Query(t, 5); !why.empty()) return why;
+        }
+      }
+    }
+    return "";
+  }
 
-Result<ServerIterationResult> RunServerIteration(const ChaosOptions& options,
-                                                 const std::string& io_dir,
-                                                 uint64_t index) {
-  ServerIterationResult result;
-  const auto fail = [&result](std::string detail) {
-    result.outcome = ChaosOutcome::kGuaranteeFailure;
-    result.detail = std::move(detail);
-    return result;
+  /// Per tenant: offered − rejected == base_ingested + items_ingested +
+  /// dropped (an in-process tenant recovered nothing and reports no
+  /// base_ingested), acks never exceed offers (write faults make acks an
+  /// undercount, and every campaign's fsync policy survives a process
+  /// kill), and offers never exceed the stream (no duplicated replay).
+  std::string CheckLedger(const std::string& json, size_t stream_size) {
+    for (const Tenant& t : tenants_) {
+      const auto field = [&](const char* name) {
+        return TenantJsonField(json, t.name, name);
+      };
+      const int64_t offered = field("offered_items");
+      const int64_t rejected = field("rejected_items");
+      const int64_t ingested = field("items_ingested");
+      const int64_t dropped = field("dropped_items");
+      const int64_t base = std::max<int64_t>(0, field("base_ingested"));
+      if (offered < 0 || rejected < 0 || ingested < 0 || dropped < 0) {
+        return "tenant " + t.name + " missing from statsz: " + json;
+      }
+      it_->counts.dropped_items += static_cast<uint64_t>(dropped);
+      it_->counts.worker_respawns +=
+          static_cast<uint64_t>(std::max<int64_t>(0, field("worker_respawns")));
+      it_->counts.stale_serves +=
+          static_cast<uint64_t>(std::max<int64_t>(0, field("stale_serves")));
+      if (offered - rejected != base + ingested + dropped) {
+        return "conservation broken on " + t.name + ": offered " +
+               std::to_string(offered) + " - rejected " +
+               std::to_string(rejected) + " != base " + std::to_string(base) +
+               " + ingested " + std::to_string(ingested) + " + dropped " +
+               std::to_string(dropped);
+      }
+      if (static_cast<int64_t>(t.acked_items) > offered) {
+        return "acks exceed offers on " + t.name + ": acked " +
+               std::to_string(t.acked_items) + ", offered " +
+               std::to_string(offered);
+      }
+      if (offered > static_cast<int64_t>(stream_size)) {
+        return "offers exceed the stream on " + t.name + ": offered " +
+               std::to_string(offered) + ", sent " +
+               std::to_string(stream_size);
+      }
+    }
+    return "";
+  }
+
+  /// Sealed tenants must still answer, and a tenant that lost nothing
+  /// (every chunk applied once, nothing shed or rejected) must export a
+  /// sketch bit-identical to a sequential reference and clean under the
+  /// Lemma 4/5 check.
+  std::string CheckSealed(const std::string& ledger, const Stream& stream,
+                          const CountSketchParams& params,
+                          const FuzzProgram& bounds, size_t lemma_width) {
+    for (size_t i = 0; i < tenants_.size(); ++i) {
+      Tenant& t = tenants_[i];
+      if (std::string why = Query(t, 10); !why.empty()) return why;
+      const bool loss_free =
+          TenantJsonField(ledger, t.name, "offered_items") ==
+              static_cast<int64_t>(stream.size()) &&
+          TenantJsonField(ledger, t.name, "rejected_items") == 0 &&
+          TenantJsonField(ledger, t.name, "dropped_items") == 0;
+      if (!loss_free) continue;
+      // The seal is durable, so an export severed (or crashed) after it is
+      // re-asked of the recovered server.
+      Result<CountSketch> exported = Status::IoError("never sent");
+      std::string why = Retry(i, "export", [&](SfqClient& client) {
+        exported = client.Export(t.name);
+        return exported.status();
+      });
+      if (!why.empty()) return why;
+      Result<CountSketch> reference = CountSketch::Make(params);
+      if (!reference.ok()) return "reference: " + reference.status().ToString();
+      for (const ItemId q : stream) reference->Add(q, 1);
+      if (!BitIdentical(*exported, *reference)) {
+        return "served sketch is not bit-identical to the sequential "
+               "reference on " + t.name;
+      }
+      why = CheckEffectiveStream(*exported, stream, bounds, lemma_width);
+      if (!why.empty()) return why;
+      ++it_->counts.identity_checks;
+    }
+    return "";
+  }
+
+  /// Sends `request` on tenant `i`'s connection until it succeeds,
+  /// bringing the connection back after each sever (16 tries at most).
+  std::string Retry(size_t i, const char* what,
+                    const std::function<Status(SfqClient&)>& request) {
+    Tenant& t = tenants_[i];
+    for (int attempt = 0; attempt < 16; ++attempt) {
+      const Status status = request(*t.client);
+      if (status.ok()) return "";
+      if (!IsSever(status)) {
+        return std::string(what) + " failed: " + status.ToString();
+      }
+      if (std::string why = Sever(t, what); !why.empty()) return why;
+    }
+    return std::string(what) + " never succeeded through the faults";
+  }
+
+ private:
+  struct Tenant {
+    Tenant(std::string name_in, OverflowPolicy policy_in)
+        : name(std::move(name_in)), policy(policy_in) {}
+
+    std::string name;
+    OverflowPolicy policy;
+    std::optional<SfqClient> client;
+    uint64_t acked_items = 0;
+    uint64_t last_epoch = 0;
+    uint64_t process = 0;  ///< server_restarts when last_epoch was read
   };
 
+  std::string Reconnect(Tenant& t, const char* when, bool kill = false) {
+    Result<SfqClient> client = rig_.reconnect(kill);
+    if (!client.ok()) {
+      return std::string("reconnect failed during ") + when + ": " +
+             client.status().ToString();
+    }
+    t.client.emplace(std::move(*client));
+    return "";
+  }
+
+  std::string Sever(Tenant& t, const char* when) {
+    ++it_->counts.server_severs;
+    return Reconnect(t, when);
+  }
+
+  /// A top-k read; epochs never move backwards within one server process.
+  std::string Query(Tenant& t, uint64_t k) {
+    uint64_t epoch = 0;
+    const auto top = t.client->TopK(t.name, k, &epoch);
+    if (IsSever(top.status())) return Sever(t, "query");
+    if (!top.ok()) return "query failed: " + top.status().ToString();
+    const uint64_t process = it_->counts.server_restarts;
+    if (process == t.process && epoch < t.last_epoch) {
+      return "epoch went backwards on " + t.name;
+    }
+    t.last_epoch = epoch;
+    t.process = process;
+    return "";
+  }
+
+  Iteration* it_;
+  ServerRig rig_;
+  std::vector<Tenant> tenants_;
+};
+
+/// `bounds` is what both server campaigns hold their sketches to: the
+/// FuzzProgram defaults (k 10, epsilon 0.2, width scale 1) at `seed`.
+FuzzProgram ServerBounds(uint64_t seed) {
+  FuzzProgram bounds;
+  bounds.seed = seed;
+  return bounds;
+}
+
+// ---------------------------------------------------------------------------
+// Server campaign: a real SfqServer behind real client connections.
+// ---------------------------------------------------------------------------
+
+Status RunServerIteration(Iteration* it) {
   // Seeded workload: one zipf stream, every tenant receives all of it.
-  Xoshiro256 rng(options.seed ^ ((index + 3) * kMix));
+  Xoshiro256 rng(it->Seed(3));
   const size_t n = 16384 + static_cast<size_t>(rng.UniformBelow(16384));
-  auto gen = ZipfGenerator::Make(2000, 1.0, options.seed ^ (index * kMix));
+  auto gen = ZipfGenerator::Make(2000, 1.0, it->Seed(0));
   STREAMFREQ_RETURN_NOT_OK(gen.status());
   const Stream stream = gen->Take(n);
-  const Oracle oracle(stream);
-  const VerifySetup setup = MakeVerifySetup(
-      /*k=*/10, /*epsilon=*/0.2, /*width_scale=*/1.0,
-      options.seed ^ ((index + 11) * kMix), oracle);
-  STREAMFREQ_ASSIGN_OR_RETURN(VerifySketchPlan plan,
-                              PlanVerifyCountSketch(setup));
+  const FuzzProgram bounds = ServerBounds(it->Seed(11));
+  STREAMFREQ_ASSIGN_OR_RETURN(
+      VerifySketchPlan plan,
+      PlanVerifyCountSketch(SetupFor(bounds, Oracle(stream))));
 
   ServerOptions server_options;
-  server_options.socket_path = io_dir + "/sfq_chaos_srv_" +
-                               std::to_string(options.seed) + "_" +
-                               std::to_string(index) + ".sock";
+  server_options.socket_path = it->scratch + ".sock";
   auto server = SfqServer::Start(server_options);
-  if (!server.ok()) {
-    result.outcome = ChaosOutcome::kCleanError;
-    result.detail = server.status().ToString();
-    return result;
-  }
+  if (!server.ok()) return it->CleanError(server.status());
 
-  TenantSpec spec;
-  spec.depth = plan.params.depth;
-  spec.width = plan.params.width;
-  spec.seed = plan.params.seed;
-  spec.threads = 2;
-  spec.batch_items = 512;
-  spec.queue_batches = 4;
-  spec.push_timeout_ms = 2;
-  spec.tracked = 256;
-  std::vector<TenantDriver> drivers;
+  // Connect only fails if the listener is gone, which no schedule here
+  // does on purpose: that IS a dead server.
+  ServerDriver driver(
+      it, {[&](bool) { return SfqClient::Connect(server_options.socket_path); },
+           {{"shed", OverflowPolicy::kShed}, {"sample", OverflowPolicy::kSample}},
+           /*chunk_items=*/1024, /*query_every=*/8});
+  std::string ledger;
   {
-    TenantDriver shed;
-    shed.name = "shed";
-    drivers.push_back(std::move(shed));
-    TenantDriver sample;
-    sample.name = "sample";
-    drivers.push_back(std::move(sample));
-  }
-
-  const std::string schedule =
-      options.failpoints.empty()
-          ? ServerChaosScheduleForIteration(options.seed, index)
-          : options.failpoints;
-
-  {
-    ScopedFailpoints failpoints(schedule,
-                                options.seed ^ ((index + 1) * kMix));
-    STREAMFREQ_RETURN_NOT_OK(failpoints.status());
-
-    // Tenant creation must survive severs: a create can be applied and
-    // then severed before the ack, so "already exists" on the retry is
-    // success.
-    for (TenantDriver& driver : drivers) {
-      TenantSpec tenant_spec = spec;
-      tenant_spec.policy = driver.name == "shed" ? OverflowPolicy::kShed
-                                                 : OverflowPolicy::kSample;
-      bool created = false;
-      for (int attempt = 0; attempt < 16 && !created; ++attempt) {
-        const Status conn = Reconnect(server_options.socket_path, &driver);
-        if (!conn.ok()) {
-          return fail("server died during create: " + conn.ToString());
-        }
-        const Status status =
-            driver.client->CreateTenant(driver.name, tenant_spec);
-        if (status.ok() ||
-            (status.IsInvalidArgument() &&
-             status.message().find("already exists") != std::string::npos)) {
-          created = true;
-        } else if (IsSever(status)) {
-          ++result.severs;
-        } else {
-          return fail("create failed: " + status.ToString());
-        }
-      }
-      if (!created) return fail("create never succeeded through the faults");
+    ArmedSchedule armed(it);
+    STREAMFREQ_RETURN_NOT_OK(armed.status());
+    if (std::string why = driver.CreateAndIngest(stream, plan.params);
+        !why.empty()) {
+      return it->Fail(std::move(why));
     }
-
-    // Ingest in chunks, at most once each: after a sever the client cannot
-    // know whether the chunk was applied (server.write) or lost before the
-    // read (server.read), so it moves on and reconciliation trusts the
-    // server-side ledger, never the ack count.
-    constexpr size_t kChunkItems = 1024;
-    for (TenantDriver& driver : drivers) {
-      size_t chunk_index = 0;
-      for (size_t begin = 0; begin < stream.size();
-           begin += kChunkItems, ++chunk_index) {
-        const size_t len = std::min(kChunkItems, stream.size() - begin);
-        const std::span<const ItemId> chunk(stream.data() + begin, len);
-        const Status status = driver.client->Ingest(driver.name, chunk);
-        if (status.ok()) {
-          driver.acked_items += len;
-        } else if (IsSever(status)) {
-          ++result.severs;
-          const Status conn = Reconnect(server_options.socket_path, &driver);
-          if (!conn.ok()) {
-            return fail("server died mid-ingest: " + conn.ToString());
-          }
-        } else {
-          // Admission control speaking (e.g. a kBlock timeout): an
-          // explicit rejection, counted server-side as rejected_items.
-          ++result.severs;
-        }
-        // Interleave snapshot reads so server.publish staleness is
-        // actually exercised; epochs must never move backwards.
-        if (chunk_index % 8 == 7) {
-          uint64_t epoch = 0;
-          auto top = driver.client->TopK(driver.name, 5, &epoch);
-          if (top.ok()) {
-            if (epoch < driver.last_epoch) {
-              return fail("epoch went backwards on " + driver.name);
-            }
-            driver.last_epoch = epoch;
-          } else if (IsSever(top.status())) {
-            ++result.severs;
-            const Status conn =
-                Reconnect(server_options.socket_path, &driver);
-            if (!conn.ok()) {
-              return fail("server died mid-query: " + conn.ToString());
-            }
-          } else {
-            return fail("query failed: " + top.status().ToString());
-          }
-        }
-      }
-    }
-
-    // Seal in-process (the harness owns the server), then reconcile the
-    // per-tenant ledgers while the faults are still armed — the numbers
-    // must already be exact.
+    // Seal in-process (the harness owns the server), then reconcile while
+    // the faults are still armed: the numbers must already be exact.
     (*server)->service().SealAll();
-    const std::string tenants_json = (*server)->service().TenantsJson();
-    for (TenantDriver& driver : drivers) {
-      const int64_t offered =
-          TenantJsonField(tenants_json, driver.name, "offered_items");
-      const int64_t rejected =
-          TenantJsonField(tenants_json, driver.name, "rejected_items");
-      const int64_t ingested =
-          TenantJsonField(tenants_json, driver.name, "items_ingested");
-      const int64_t dropped =
-          TenantJsonField(tenants_json, driver.name, "dropped_items");
-      const int64_t respawns =
-          TenantJsonField(tenants_json, driver.name, "worker_respawns");
-      const int64_t stale =
-          TenantJsonField(tenants_json, driver.name, "stale_serves");
-      if (offered < 0 || rejected < 0 || ingested < 0 || dropped < 0) {
-        return fail("tenant " + driver.name + " missing from statsz: " +
-                    tenants_json);
-      }
-      result.dropped_items += static_cast<uint64_t>(dropped);
-      result.worker_respawns += static_cast<uint64_t>(respawns);
-      result.stale_serves += static_cast<uint64_t>(stale);
-      if (offered - rejected != ingested + dropped) {
-        return fail("conservation broken on " + driver.name + ": offered " +
-                    std::to_string(offered) + " - rejected " +
-                    std::to_string(rejected) + " != ingested " +
-                    std::to_string(ingested) + " + dropped " +
-                    std::to_string(dropped));
-      }
-      if (static_cast<int64_t>(driver.acked_items) > offered) {
-        return fail("acks exceed offers on " + driver.name + ": acked " +
-                    std::to_string(driver.acked_items) + ", offered " +
-                    std::to_string(offered));
-      }
-      if (offered > static_cast<int64_t>(stream.size())) {
-        return fail("offers exceed the stream on " + driver.name);
-      }
+    ledger = (*server)->service().TenantsJson();
+    if (std::string why = driver.CheckLedger(ledger, stream.size());
+        !why.empty()) {
+      return it->Fail(std::move(why));
     }
-    result.fires = FailpointRegistry::Global().TotalFires();
   }  // failpoints disarm here; the server itself is still up
 
-  // Fault-free epilogue: sealed tenants must answer, and when nothing made
-  // the applied multiset ambiguous the served sketch must be bit-identical
-  // to a sequential reference and clean under the Lemma 4/5 check.
-  const std::string tenants_json = (*server)->service().TenantsJson();
-  auto epilogue = SfqClient::Connect(server_options.socket_path);
-  if (!epilogue.ok()) {
-    return fail("server dead after disarm: " + epilogue.status().ToString());
+  if (std::string why = driver.CheckSealed(ledger, stream, plan.params,
+                                           bounds, plan.lemma_width);
+      !why.empty()) {
+    return it->Fail(std::move(why));
   }
-  for (TenantDriver& driver : drivers) {
-    uint64_t epoch = 0;
-    auto top = epilogue->TopK(driver.name, 10, &epoch);
-    if (!top.ok()) {
-      return fail("sealed " + driver.name +
-                  " stopped answering: " + top.status().ToString());
-    }
-    if (epoch < driver.last_epoch) {
-      return fail("sealed epoch went backwards on " + driver.name);
-    }
-    const int64_t offered =
-        TenantJsonField(tenants_json, driver.name, "offered_items");
-    const int64_t rejected =
-        TenantJsonField(tenants_json, driver.name, "rejected_items");
-    const int64_t dropped =
-        TenantJsonField(tenants_json, driver.name, "dropped_items");
-    const bool unambiguous = offered == static_cast<int64_t>(stream.size()) &&
-                             rejected == 0 && dropped == 0;
-    if (!unambiguous) continue;
-    auto exported = epilogue->Export(driver.name);
-    if (!exported.ok()) {
-      return fail("export failed on " + driver.name + ": " +
-                  exported.status().ToString());
-    }
-    auto reference = CountSketch::Make(plan.params);
-    STREAMFREQ_RETURN_NOT_OK(reference.status());
-    for (const ItemId q : stream) reference->Add(q, 1);
-    std::string exported_bytes;
-    std::string reference_bytes;
-    exported->SerializeTo(&exported_bytes);
-    reference->SerializeTo(&reference_bytes);
-    if (exported_bytes != reference_bytes) {
-      return fail("served sketch is not bit-identical to the sequential "
-                  "reference on " + driver.name);
-    }
-    const std::vector<Violation> violations = CheckCountSketchAgainstOracle(
-        *exported, oracle, setup, plan.lemma_width);
-    if (!violations.empty()) {
-      return fail(violations.front().guarantee + std::string(": ") +
-                  violations.front().detail);
-    }
-  }
-
-  result.requests = (*server)->Stats().requests;
+  it->counts.server_requests = (*server)->Stats().requests;
   (*server)->RequestStop();
   server->reset();
   std::remove(server_options.socket_path.c_str());
-  return result;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
-// Kill-restart campaign (`sfq chaos --server-restart`): a real, durable
-// `sfq serve` process that keeps dying — at armed failpoints (crash ==
-// std::_Exit at the site) and under real SIGKILLs — and must keep coming
-// back with its ledger intact.
+// Kill-restart campaign: a real, durable `sfq serve` process that keeps
+// dying — at armed failpoints (crash == std::_Exit at the site) and under
+// real SIGKILLs — and must keep coming back with its ledger intact.
 // ---------------------------------------------------------------------------
 
-/// One forked `sfq serve` child.
+/// One forked `sfq serve` child and the files it serves from. Destruction
+/// kills it and removes them, whatever the verdict.
 struct ChildServer {
+  std::string socket_path;
+  std::string data_dir;
   pid_t pid = -1;
   int last_wstatus = 0;
+
+  ~ChildServer() {
+    Kill();
+    std::error_code ec;
+    std::filesystem::remove_all(data_dir, ec);
+    std::remove(socket_path.c_str());
+  }
 
   /// Non-blocking liveness probe; reaps the child when it has exited and
   /// remembers how it died (for diagnostics on unexpected deaths).
@@ -551,94 +607,70 @@ struct ChildServer {
     ::waitpid(pid, &wstatus, 0);
     pid = -1;
   }
+
+  /// Forks and execs `binary serve --socket ... --data-dir ...`. An empty
+  /// failpoint spec launches a clean (recovery-only) server. Child output
+  /// goes to /dev/null so campaign output stays readable.
+  Status Spawn(const std::string& binary, const std::string& failpoints,
+               uint64_t seed, const std::string& fsync_policy) {
+    // Everything that allocates happens before the fork: a child of a
+    // process that has run threads may make only async-signal-safe calls
+    // until it execs.
+    std::vector<std::string> args = {binary,        "serve",
+                                     "--socket",    socket_path,
+                                     "--data-dir",  data_dir,
+                                     "--snapshot-every", "2048",
+                                     "--fsync",     fsync_policy,
+                                     "--seed",      std::to_string(seed)};
+    if (!failpoints.empty()) {
+      args.push_back("--failpoints");
+      args.push_back(failpoints);
+    }
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    pid = ::fork();
+    if (pid < 0) return Status::Internal("chaos: fork failed");
+    if (pid > 0) return Status::OK();
+    const int devnull = ::open("/dev/null", O_WRONLY | O_CLOEXEC);
+    if (devnull >= 0) {
+      ::dup2(devnull, STDOUT_FILENO);
+      ::dup2(devnull, STDERR_FILENO);
+      ::close(devnull);
+    }
+    ::execv(argv[0], argv.data());
+    std::_Exit(127);
+  }
+
+  /// Polls until the socket accepts a connection. A child that dies before
+  /// binding is an error — the caller decides whether that death was an
+  /// armed crash (relaunch) or a bug (fail the iteration).
+  Result<SfqClient> WaitReady() {
+    for (int attempt = 0; attempt < 2000; ++attempt) {
+      auto client = SfqClient::Connect(socket_path);
+      if (client.ok()) return client;
+      if (!Alive()) {
+        return Status::IoError("server process died before becoming ready (" +
+                               DeathReason() + ")");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return Status::IoError("server never became ready on " + socket_path);
+  }
 };
 
-/// Forks and execs `binary serve --socket ... --data-dir ...`. An empty
-/// failpoint spec launches a clean (recovery-only) server. Child output is
-/// routed to /dev/null so campaign output stays readable.
-pid_t SpawnServe(const std::string& binary, const std::string& socket_path,
-                 const std::string& data_dir, const std::string& failpoints,
-                 uint64_t seed, const std::string& fsync_policy = "always") {
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  const int devnull = ::open("/dev/null", O_WRONLY | O_CLOEXEC);
-  if (devnull >= 0) {
-    ::dup2(devnull, STDOUT_FILENO);
-    ::dup2(devnull, STDERR_FILENO);
-    ::close(devnull);
-  }
-  std::vector<std::string> args = {binary,        "serve",
-                                   "--socket",    socket_path,
-                                   "--data-dir",  data_dir,
-                                   "--snapshot-every", "2048",
-                                   "--fsync",     fsync_policy,
-                                   "--seed",      std::to_string(seed)};
-  if (!failpoints.empty()) {
-    args.push_back("--failpoints");
-    args.push_back(failpoints);
-  }
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& arg : args) argv.push_back(arg.data());
-  argv.push_back(nullptr);
-  ::execv(binary.c_str(), argv.data());
-  std::_Exit(127);
-}
-
-/// Polls until the socket accepts a connection. A child that dies before
-/// binding is an error — the caller decides whether that death was an armed
-/// crash (relaunch) or a bug (fail the iteration).
-Result<SfqClient> WaitReady(const std::string& socket_path,
-                            ChildServer* child) {
-  for (int attempt = 0; attempt < 2000; ++attempt) {
-    auto client = SfqClient::Connect(socket_path);
-    if (client.ok()) return client;
-    if (!child->Alive()) {
-      return Status::IoError("server process died before becoming ready (" +
-                             child->DeathReason() + ")");
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  return Status::IoError("server never became ready on " + socket_path);
-}
-
-Result<ServerIterationResult> RunServerRestartIteration(
-    const ChaosOptions& options, const std::string& io_dir, uint64_t index) {
-  ServerIterationResult result;
-  const auto fail = [&result](std::string detail) {
-    result.outcome = ChaosOutcome::kGuaranteeFailure;
-    result.detail = std::move(detail);
-    return result;
-  };
-
+Status RunRestartIteration(Iteration* it) {
   // Seeded workload, sized so one iteration (including a couple of process
   // restarts) stays well under a second.
-  Xoshiro256 rng(options.seed ^ ((index + 13) * kMix));
+  Xoshiro256 rng(it->Seed(13));
   const size_t n = 4096 + static_cast<size_t>(rng.UniformBelow(4096));
-  auto gen = ZipfGenerator::Make(2000, 1.0,
-                                 options.seed ^ ((index + 17) * kMix));
+  auto gen = ZipfGenerator::Make(2000, 1.0, it->Seed(17));
   STREAMFREQ_RETURN_NOT_OK(gen.status());
   const Stream stream = gen->Take(n);
-  const Oracle oracle(stream);
-  const VerifySetup setup = MakeVerifySetup(
-      /*k=*/10, /*epsilon=*/0.2, /*width_scale=*/1.0,
-      options.seed ^ ((index + 19) * kMix), oracle);
-  STREAMFREQ_ASSIGN_OR_RETURN(VerifySketchPlan plan,
-                              PlanVerifyCountSketch(setup));
-
-  const std::string base = io_dir + "/sfq_chaos_rst_" +
-                           std::to_string(options.seed) + "_" +
-                           std::to_string(index);
-  const std::string data_dir = base + ".data";
-  const std::string socket_path = base + ".sock";
-  std::error_code ec;
-  std::filesystem::remove_all(data_dir, ec);
-  std::remove(socket_path.c_str());
-
-  const std::string schedule =
-      options.failpoints.empty()
-          ? ServerRestartScheduleForIteration(options.seed, index)
-          : options.failpoints;
+  const FuzzProgram bounds = ServerBounds(it->Seed(19));
+  STREAMFREQ_ASSIGN_OR_RETURN(
+      VerifySketchPlan plan,
+      PlanVerifyCountSketch(SetupFor(bounds, Oracle(stream))));
 
   // Rotate the WAL durability policy across iterations. Process kills (the
   // only death this campaign inflicts) preserve the page cache, so acked <=
@@ -646,551 +678,106 @@ Result<ServerIterationResult> RunServerRestartIteration(
   // ack-durability window only matters against a machine crash.
   const char* kFsyncPolicies[] = {"always", "never", "batch"};
   const std::string fsync_policy = kFsyncPolicies[rng.UniformBelow(3)];
+  // One randomized chunk boundary takes a REAL SIGKILL (50% of
+  // iterations), on top of whatever the armed schedule does.
+  constexpr size_t kChunkItems = 512;
+  const uint64_t kill_at =
+      rng.UniformBelow((stream.size() + kChunkItems - 1) / kChunkItems * 2);
 
   ChildServer child;
+  child.socket_path = it->scratch + ".sock";
+  child.data_dir = it->scratch + ".data";
+  std::error_code ec;
+  std::filesystem::remove_all(child.data_dir, ec);
+  std::remove(child.socket_path.c_str());
   // Masked to 63 bits: the CLI seed flag parses as a signed integer.
-  child.pid = SpawnServe(options.server_binary, socket_path, data_dir,
-                         schedule,
-                         (options.seed ^ ((index + 1) * kMix)) >> 1,
-                         fsync_policy);
-  if (child.pid < 0) return Status::Internal("chaos: fork failed");
+  STREAMFREQ_RETURN_NOT_OK(child.Spawn(it->options.server_binary,
+                                       it->schedule, it->Seed(1) >> 1,
+                                       fsync_policy));
+  if (auto ready = child.WaitReady(); !ready.ok()) {
+    // Fresh dir, no tenants: nothing can fire before the bind, so a death
+    // here is a bug, not an armed crash.
+    return it->Fail("server never came up: " + ready.status().ToString());
+  }
 
   const std::string tenant = "dur";
-  uint64_t acked_items = 0;
-  uint64_t last_epoch = 0;
-
   // Relaunches the daemon WITHOUT failpoints over the same data dir, waits
-  // for it, and records what recovery reported. Epochs reset with the
-  // process, so the monotonicity baseline resets too.
-  auto relaunch = [&]() -> Result<SfqClient> {
-    ++result.deaths;
-    ++result.restarts;
-    std::remove(socket_path.c_str());
-    child.pid = SpawnServe(options.server_binary, socket_path, data_dir,
-                           /*failpoints=*/"", 0, fsync_policy);
-    if (child.pid < 0) return Status::Internal("chaos: fork failed");
-    STREAMFREQ_ASSIGN_OR_RETURN(SfqClient client,
-                                WaitReady(socket_path, &child));
-    last_epoch = 0;
+  // for it, and records what recovery reported.
+  const auto relaunch = [&]() -> Result<SfqClient> {
+    ++it->counts.crash_kills;
+    ++it->counts.server_restarts;
+    std::remove(child.socket_path.c_str());
+    STREAMFREQ_RETURN_NOT_OK(child.Spawn(it->options.server_binary,
+                                         /*failpoints=*/"", 0, fsync_policy));
+    STREAMFREQ_ASSIGN_OR_RETURN(SfqClient client, child.WaitReady());
     // A crash before the create was applied leaves no tenant — that is
     // the correct recovery of an unacknowledged create, not an error.
     auto info = client.RecoveryInfo(tenant);
     if (info.ok() && info->find("\"recovered\":true") != std::string::npos) {
-      ++result.recoveries;
+      ++it->counts.recoveries;
     }
     return client;
   };
-
-  // After a sever: the child may be mid-exit (connection already dropped,
+  // After a sever the child may be mid-exit (connection already dropped,
   // process not yet reapable), so poll liveness and the socket together
   // instead of trusting one snapshot of either.
-  auto reconnect = [&]() -> Result<SfqClient> {
+  const auto reconnect = [&](bool kill) -> Result<SfqClient> {
+    if (kill && child.Alive()) {
+      child.Kill();
+      return relaunch();
+    }
     for (int attempt = 0; attempt < 400; ++attempt) {
       if (!child.Alive()) return relaunch();
-      auto conn = SfqClient::Connect(socket_path);
-      if (conn.ok()) return conn;
+      auto client = SfqClient::Connect(child.socket_path);
+      if (client.ok()) return client;
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    return Status::IoError("server alive but unreachable on " + socket_path);
+    return Status::IoError("server alive but unreachable on " +
+                           child.socket_path);
   };
-
-  auto ready = WaitReady(socket_path, &child);
-  if (!ready.ok()) {
-    // Fresh dir, no tenants: nothing can fire before the bind, so a death
-    // here is a bug, not an armed crash.
-    child.Kill();
-    return fail("server never came up: " + ready.status().ToString());
-  }
-  SfqClient client = std::move(*ready);
-
-  // Create the durable tenant, surviving severs and armed crashes; a
-  // create applied before the ack was lost answers "already exists" on the
-  // retry, which is success.
-  TenantSpec spec;
-  spec.depth = plan.params.depth;
-  spec.width = plan.params.width;
-  spec.seed = plan.params.seed;
-  spec.threads = 2;
-  spec.batch_items = 512;
-  spec.queue_batches = 4;
-  spec.push_timeout_ms = 2;
-  spec.policy = OverflowPolicy::kShed;
-  spec.tracked = 256;
-  bool created = false;
-  for (int attempt = 0; attempt < 16 && !created; ++attempt) {
-    const Status status = client.CreateTenant(tenant, spec);
-    if (status.ok() ||
-        (status.IsInvalidArgument() &&
-         status.message().find("already exists") != std::string::npos)) {
-      created = true;
-    } else if (IsSever(status)) {
-      ++result.severs;
-      auto next = reconnect();
-      if (!next.ok()) {
-        return fail("reconnect failed during create: " +
-                    next.status().ToString());
-      }
-      client = std::move(*next);
-    } else {
-      return fail("create failed: " + status.ToString());
-    }
-  }
-  if (!created) return fail("create never succeeded through the faults");
-
-  // At-most-once ingest: a severed chunk is never resent (retrying could
-  // double-count an applied-but-unacked batch); reconciliation trusts the
-  // server ledger. One randomized chunk boundary also takes a REAL SIGKILL
-  // (50% of iterations), on top of whatever the armed schedule does.
-  constexpr size_t kChunkItems = 512;
-  const size_t total_chunks = (stream.size() + kChunkItems - 1) / kChunkItems;
-  const uint64_t kill_at = rng.UniformBelow(total_chunks * 2);
-  size_t chunk_index = 0;
-  for (size_t begin = 0; begin < stream.size();
-       begin += kChunkItems, ++chunk_index) {
-    if (chunk_index == kill_at && child.Alive()) {
-      child.Kill();
-      auto next = relaunch();
-      if (!next.ok()) {
-        return fail("relaunch failed after SIGKILL: " +
-                    next.status().ToString());
-      }
-      client = std::move(*next);
-    }
-    const size_t len = std::min(kChunkItems, stream.size() - begin);
-    const std::span<const ItemId> chunk(stream.data() + begin, len);
-    const Status status = client.Ingest(tenant, chunk);
-    if (status.ok()) {
-      acked_items += len;
-    } else if (IsSever(status)) {
-      ++result.severs;
-      auto next = reconnect();
-      if (!next.ok()) {
-        return fail("reconnect failed mid-ingest: " +
-                    next.status().ToString());
-      }
-      client = std::move(*next);
-    }
-    // else: an explicit server-side rejection (admission control or a
-    // poisoned journal) — accounted in rejected_items, move on.
-
-    if (chunk_index % 4 == 3) {
-      uint64_t epoch = 0;
-      auto top = client.TopK(tenant, 5, &epoch);
-      if (top.ok()) {
-        if (epoch < last_epoch) {
-          return fail("epoch went backwards within one server process");
-        }
-        last_epoch = epoch;
-      } else if (IsSever(top.status())) {
-        ++result.severs;
-        auto next = reconnect();
-        if (!next.ok()) {
-          return fail("reconnect failed mid-query: " +
-                      next.status().ToString());
-        }
-        client = std::move(*next);
-      } else {
-        return fail("query failed: " + top.status().ToString());
-      }
-    }
+  ServerDriver driver(it, {reconnect, {{tenant, OverflowPolicy::kShed}},
+                           kChunkItems, /*query_every=*/4, kill_at});
+  if (std::string why = driver.CreateAndIngest(stream, plan.params);
+      !why.empty()) {
+    return it->Fail(std::move(why));
   }
 
-  // Seal + reconcile, surviving the schedule (the first process may still
-  // be alive with benign faults armed).
-  bool sealed = false;
+  // Seal and read the ledger through the schedule (the first process may
+  // still be alive with benign faults armed).
   std::string statsz;
-  for (int attempt = 0; attempt < 16 && !sealed; ++attempt) {
-    auto epoch = client.Seal(tenant);
-    if (epoch.ok()) {
-      auto stats = client.Statsz();
-      if (stats.ok()) {
-        statsz = std::move(*stats);
-        sealed = true;
-        break;
-      }
-    }
-    const Status bad = epoch.ok() ? Status::IoError("statsz severed")
-                                  : epoch.status();
-    if (!IsSever(bad)) return fail("seal failed: " + bad.ToString());
-    ++result.severs;
-    auto next = reconnect();
-    if (!next.ok()) {
-      return fail("reconnect failed during seal: " + next.status().ToString());
-    }
-    client = std::move(*next);
+  std::string why = driver.Retry(0, "seal", [&](SfqClient& client) {
+    STREAMFREQ_RETURN_NOT_OK(client.Seal(tenant).status());
+    STREAMFREQ_ASSIGN_OR_RETURN(statsz, client.Statsz());
+    return Status::OK();
+  });
+  if (why.empty()) why = driver.CheckLedger(statsz, stream.size());
+  if (why.empty()) {
+    why = driver.CheckSealed(statsz, stream, plan.params, bounds,
+                             plan.lemma_width);
   }
-  if (!sealed) return fail("seal never succeeded through the faults");
-
-  // Conservation across every crash: the recovered prefix sits in
-  // base_ingested, the post-recovery live ingest in items_ingested.
-  const int64_t offered = TenantJsonField(statsz, tenant, "offered_items");
-  const int64_t rejected = TenantJsonField(statsz, tenant, "rejected_items");
-  const int64_t ingested = TenantJsonField(statsz, tenant, "items_ingested");
-  const int64_t dropped = TenantJsonField(statsz, tenant, "dropped_items");
-  const int64_t base_ingested =
-      TenantJsonField(statsz, tenant, "base_ingested");
-  const int64_t stale = TenantJsonField(statsz, tenant, "stale_serves");
-  if (offered < 0 || rejected < 0 || ingested < 0 || dropped < 0 ||
-      base_ingested < 0) {
-    return fail("tenant missing from statsz: " + statsz);
-  }
-  result.dropped_items += static_cast<uint64_t>(dropped);
-  if (stale > 0) result.stale_serves += static_cast<uint64_t>(stale);
-  if (offered - rejected != base_ingested + ingested + dropped) {
-    return fail("conservation broken across restarts: offered " +
-                std::to_string(offered) + " - rejected " +
-                std::to_string(rejected) + " != base " +
-                std::to_string(base_ingested) + " + ingested " +
-                std::to_string(ingested) + " + dropped " +
-                std::to_string(dropped));
-  }
-  // fsync=always: every acked batch was journaled to stable storage before
-  // the ack, so no crash can make acks exceed the durable offer.
-  if (static_cast<int64_t>(acked_items) > offered) {
-    return fail("acked items exceed recovered offers: acked " +
-                std::to_string(acked_items) + ", offered " +
-                std::to_string(offered));
-  }
-  if (offered > static_cast<int64_t>(stream.size())) {
-    return fail("offers exceed the stream (duplicated replay?): offered " +
-                std::to_string(offered) + ", sent " +
-                std::to_string(stream.size()));
-  }
-
-  // Loss-free iterations (every chunk applied exactly once, nothing shed)
-  // must serve a sketch bit-identical to the uninterrupted sequential run —
-  // Count-Sketch linearity makes recovery exact, not approximate.
-  if (offered == static_cast<int64_t>(stream.size()) && rejected == 0 &&
-      dropped == 0) {
-    // The schedule can still sever the connection (or crash the daemon)
-    // between the seal ack and this export; the seal snapshot is already
-    // durable at that point, so reconnect and re-ask the recovered server.
-    auto exported = client.Export(tenant);
-    for (int attempt = 0;
-         attempt < 16 && !exported.ok() && IsSever(exported.status());
-         ++attempt) {
-      ++result.severs;
-      auto next = reconnect();
-      if (!next.ok()) {
-        return fail("reconnect failed during export: " +
-                    next.status().ToString());
-      }
-      client = std::move(*next);
-      exported = client.Export(tenant);
-    }
-    if (!exported.ok()) {
-      return fail("export failed after seal: " +
-                  exported.status().ToString());
-    }
-    auto reference = CountSketch::Make(plan.params);
-    STREAMFREQ_RETURN_NOT_OK(reference.status());
-    for (const ItemId q : stream) reference->Add(q, 1);
-    std::string exported_bytes;
-    std::string reference_bytes;
-    exported->SerializeTo(&exported_bytes);
-    reference->SerializeTo(&reference_bytes);
-    if (exported_bytes != reference_bytes) {
-      return fail("recovered sketch is not bit-identical to the sequential "
-                  "reference");
-    }
-    const std::vector<Violation> violations = CheckCountSketchAgainstOracle(
-        *exported, oracle, setup, plan.lemma_width);
-    if (!violations.empty()) {
-      return fail(violations.front().guarantee + std::string(": ") +
-                  violations.front().detail);
-    }
-    ++result.identity_checks;
-  }
-
-  result.requests = static_cast<uint64_t>(
+  if (!why.empty()) return it->Fail(std::move(why));
+  it->counts.server_requests = static_cast<uint64_t>(
       std::max<int64_t>(0, TenantJsonField(statsz, "server", "requests")));
-
-  // Teardown: ask nicely, then make sure.
-  const Status bye = client.Shutdown();
-  (void)bye;
-  for (int i = 0; i < 400 && child.Alive(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  child.Kill();
-  std::filesystem::remove_all(data_dir, ec);
-  std::remove(socket_path.c_str());
-  return result;
+  return Status::OK();
 }
 
-}  // namespace
+// ---------------------------------------------------------------------------
+// Merge-tree campaign: ingest and delta shipping under the dist.* sites.
+// ---------------------------------------------------------------------------
 
-std::string ChaosScheduleForIteration(uint64_t seed, uint64_t index) {
-  Xoshiro256 rng(seed ^ kScheduleSalt ^ ((index + 1) * kMix));
-  const auto chance = [&rng](uint64_t percent) {
-    return rng.UniformBelow(100) < percent;
-  };
-  std::vector<std::string> clauses;
-  // Crash clauses ALWAYS carry a fire budget: an unbounded always-crash
-  // worker would requeue and respawn forever.
-  if (chance(35)) {
-    clauses.push_back("ingestor.worker_batch=crash*" +
-                      std::to_string(1 + rng.UniformBelow(3)));
-  } else if (chance(25)) {
-    clauses.push_back("ingestor.worker_batch=stall:1@0.02");
-  }
-  if (chance(20)) clauses.push_back("batch_queue.push=error@0.02");
-  if (chance(20)) clauses.push_back("batch_queue.pop=stall:1@0.02");
-  if (chance(25)) clauses.push_back("ingestor.publish=error@0.5");
-  if (chance(30)) {
-    clauses.push_back(std::string("sketch_io.write=") +
-                      (chance(50) ? "torn*1" : "error*1"));
-  }
-  if (chance(20)) clauses.push_back("sketch_io.rename=error*1");
-  if (chance(30)) {
-    clauses.push_back(std::string("sketch_io.read=") +
-                      (chance(50) ? "bitflip*1" : "error*1"));
-  }
-  if (clauses.empty()) clauses.push_back("ingestor.worker_batch=crash*1");
-
-  std::string spec;
-  for (const std::string& clause : clauses) {
-    if (!spec.empty()) spec += ';';
-    spec += clause;
-  }
-  return spec;
-}
-
-Result<ChaosReport> RunChaosCampaign(const ChaosOptions& options) {
-  if (options.iterations == 0) {
-    return Status::InvalidArgument("chaos: iterations must be >= 1");
-  }
-  std::string io_dir = options.io_dir;
-  if (io_dir.empty()) {
-    std::error_code ec;
-    const std::filesystem::path tmp =
-        std::filesystem::temp_directory_path(ec);
-    if (ec) return Status::IoError("chaos: no temp directory: " + ec.message());
-    io_dir = tmp.string();
-  }
-
-  ChaosReport report;
-  for (uint64_t index = 0; index < options.iterations; ++index) {
-    STREAMFREQ_ASSIGN_OR_RETURN(IterationResult iteration,
-                                RunIteration(options, io_dir, index));
-    ++report.iterations;
-    report.fault_fires += iteration.fires;
-    if (iteration.fires > 0) ++report.faulted_iterations;
-    report.worker_respawns += iteration.stats.worker_respawns;
-    report.dropped_items += iteration.stats.DroppedItems();
-    if (iteration.io_attempted) ++report.io_round_trips;
-    if (iteration.io_faulted) ++report.io_faults;
-    switch (iteration.outcome) {
-      case ChaosOutcome::kVerified:
-        ++report.verified;
-        break;
-      case ChaosOutcome::kCleanError:
-        ++report.clean_errors;
-        break;
-      case ChaosOutcome::kGuaranteeFailure: {
-        ++report.guarantee_failures;
-        ChaosFailure failure;
-        failure.index = index;
-        failure.program =
-            FormatProgram(ProgramFromSeed(options.seed ^ kProgramSalt, index));
-        failure.schedule = options.failpoints.empty()
-                               ? ChaosScheduleForIteration(options.seed, index)
-                               : options.failpoints;
-        failure.detail = iteration.detail;
-        report.failures.push_back(std::move(failure));
-        break;
-      }
-    }
-  }
-  return report;
-}
-
-std::string ServerChaosScheduleForIteration(uint64_t seed, uint64_t index) {
-  Xoshiro256 rng(seed ^ kScheduleSalt ^ ((index + 5) * kMix));
-  const auto chance = [&rng](uint64_t percent) {
-    return rng.UniformBelow(100) < percent;
-  };
-  std::vector<std::string> clauses;
-  // Connection-level faults: each severs one conversation; the drivers
-  // reconnect and reconciliation trusts the server-side ledger.
-  if (chance(40)) clauses.push_back("server.accept=error@0.1");
-  if (chance(40)) clauses.push_back("server.read=error@0.03");
-  if (chance(40)) clauses.push_back("server.write=error@0.03");
-  // Staleness: snapshot refreshes withheld on a coin flip.
-  if (chance(40)) clauses.push_back("server.publish=error@0.5");
-  // Back-pressure behind the protocol: stalled queues arm the tenants'
-  // shed/sample admission control, crashed workers force respawns.
-  if (chance(25)) {
-    clauses.push_back("ingestor.worker_batch=crash*" +
-                      std::to_string(1 + rng.UniformBelow(2)));
-  }
-  if (chance(20)) clauses.push_back("batch_queue.pop=stall:1@0.02");
-  if (chance(20)) clauses.push_back("ingestor.publish=error@0.5");
-  if (clauses.empty()) clauses.push_back("server.write=error@0.05");
-
-  std::string spec;
-  for (const std::string& clause : clauses) {
-    if (!spec.empty()) spec += ';';
-    spec += clause;
-  }
-  return spec;
-}
-
-Result<ChaosReport> RunServerChaosCampaign(const ChaosOptions& options) {
-  if (options.iterations == 0) {
-    return Status::InvalidArgument("chaos: iterations must be >= 1");
-  }
-  std::string io_dir = options.io_dir;
-  if (io_dir.empty()) {
-    std::error_code ec;
-    const std::filesystem::path tmp =
-        std::filesystem::temp_directory_path(ec);
-    if (ec) return Status::IoError("chaos: no temp directory: " + ec.message());
-    io_dir = tmp.string();
-  }
-
-  ChaosReport report;
-  for (uint64_t index = 0; index < options.iterations; ++index) {
-    STREAMFREQ_ASSIGN_OR_RETURN(ServerIterationResult iteration,
-                                RunServerIteration(options, io_dir, index));
-    ++report.iterations;
-    report.fault_fires += iteration.fires;
-    if (iteration.fires > 0) ++report.faulted_iterations;
-    report.worker_respawns += iteration.worker_respawns;
-    report.dropped_items += iteration.dropped_items;
-    report.server_requests += iteration.requests;
-    report.server_severs += iteration.severs;
-    report.stale_serves += iteration.stale_serves;
-    switch (iteration.outcome) {
-      case ChaosOutcome::kVerified:
-        ++report.verified;
-        break;
-      case ChaosOutcome::kCleanError:
-        ++report.clean_errors;
-        break;
-      case ChaosOutcome::kGuaranteeFailure: {
-        ++report.guarantee_failures;
-        ChaosFailure failure;
-        failure.index = index;
-        failure.schedule =
-            options.failpoints.empty()
-                ? ServerChaosScheduleForIteration(options.seed, index)
-                : options.failpoints;
-        failure.detail = iteration.detail;
-        report.failures.push_back(std::move(failure));
-        break;
-      }
-    }
-  }
-  return report;
-}
-
-std::string ServerRestartScheduleForIteration(uint64_t seed, uint64_t index) {
-  Xoshiro256 rng(seed ^ kScheduleSalt ^ ((index + 9) * kMix));
-  const auto chance = [&rng](uint64_t percent) {
-    return rng.UniformBelow(100) < percent;
-  };
-  // Exactly one process-death clause, probability-throttled and *1-budgeted
-  // (each iteration dies at most once at a failpoint; the real SIGKILL in
-  // the driver is on top). Each site leaves a different on-disk shape:
-  //   wal.append       death before the record hits the journal
-  //   wal.fsync        record written but not yet forced (page cache)
-  //   snapshot.publish death before the snapshot's commit rename
-  //   sketch_io.write  death mid-blob-write (temp file only)
-  //   sketch_io.rename temp fully written, rename never happened
-  static constexpr const char* kDeathSites[] = {
-      "wal.append", "wal.fsync", "snapshot.publish", "sketch_io.write",
-      "sketch_io.rename"};
-  const char* death = kDeathSites[rng.UniformBelow(5)];
-  std::vector<std::string> clauses;
-  clauses.push_back(std::string(death) + "=crash@0.08*1");
-  // Benign companions: severed acks (the applied-but-unacked ambiguity)
-  // and, when the death site leaves wal.append free, one torn journal
-  // record — which poisons the store into loud rejections, not corruption.
-  if (chance(25)) clauses.push_back("server.write=error@0.02");
-  if (chance(15) && std::string(death) != "wal.append") {
-    clauses.push_back("wal.append=torn@0.05*1");
-  }
-
-  std::string spec;
-  for (const std::string& clause : clauses) {
-    if (!spec.empty()) spec += ';';
-    spec += clause;
-  }
-  return spec;
-}
-
-std::string TreeChaosScheduleForIteration(uint64_t seed, uint64_t index) {
-  Xoshiro256 rng(seed ^ kScheduleSalt ^ ((index + 13) * kMix));
-  const auto chance = [&rng](uint64_t percent) {
-    return rng.UniformBelow(100) < percent;
-  };
-  std::vector<std::string> clauses;
-  // Admission faults at the leaves: rejected batches and recorded sheds —
-  // the mass the conservation ledger must carry up the tree.
-  if (chance(30)) {
-    clauses.push_back("dist.ingest=error@0.05");
-  } else if (chance(25)) {
-    clauses.push_back("dist.ingest=torn@0.05");
-  }
-  // Uplink frame faults: severed, torn, or bit-flipped in flight. Torn and
-  // flipped frames must die at the CRC and count as severs, never as
-  // applied garbage.
-  if (chance(35)) {
-    clauses.push_back("dist.ship=error@0.08");
-  } else if (chance(25)) {
-    clauses.push_back("dist.ship=torn@0.06");
-  } else if (chance(20)) {
-    clauses.push_back("dist.ship=bitflip@0.05");
-  }
-  // Dropped deliveries re-ack the OLD seqno; lost acks force verbatim
-  // resends — both must dedup exactly.
-  if (chance(30)) clauses.push_back("dist.deliver=error@0.08");
-  if (chance(35)) clauses.push_back("dist.ack=error@0.1");
-  // Node loss ALWAYS carries a budget: an unbounded crash clause would
-  // eventually kill every node and leave nothing to assert.
-  if (chance(30)) {
-    clauses.push_back("dist.node=crash@0.02*" +
-                      std::to_string(1 + rng.UniformBelow(2)));
-  }
-  if (clauses.empty()) clauses.push_back("dist.ack=error@0.1");
-
-  std::string spec;
-  for (const std::string& clause : clauses) {
-    if (!spec.empty()) spec += ';';
-    spec += clause;
-  }
-  return spec;
-}
-
-namespace {
-
-struct TreeIterationResult {
-  ChaosOutcome outcome = ChaosOutcome::kVerified;
-  std::string detail;
-  MergeTreeStats stats;
-  uint64_t fires = 0;
-  uint64_t dropped_items = 0;
-  bool identity_checked = false;
-};
-
-Result<TreeIterationResult> RunTreeIteration(const ChaosOptions& options,
-                                             uint64_t index) {
-  const FuzzProgram program =
-      ProgramFromSeed(options.seed ^ kProgramSalt, index);
+Status RunTreeIteration(Iteration* it) {
+  const FuzzProgram program = it->Program();
   STREAMFREQ_ASSIGN_OR_RETURN(Stream stream, MaterializeStream(program));
 
   // Size the sketch for the full stream; degraded runs are judged against
-  // the covered (effective) stream, same discipline as RunIteration.
-  const Oracle full_oracle(stream);
-  const VerifySetup sizing = MakeVerifySetup(
-      program.k, program.epsilon, program.width_scale, program.seed,
-      full_oracle);
-  STREAMFREQ_ASSIGN_OR_RETURN(VerifySketchPlan plan,
-                              PlanVerifyCountSketch(sizing));
+  // the covered (effective) stream, as in the library campaign.
+  STREAMFREQ_ASSIGN_OR_RETURN(
+      VerifySketchPlan plan,
+      PlanVerifyCountSketch(SetupFor(program, Oracle(stream))));
 
   // Randomized topology: flat star, balanced, or ragged random tree over
   // fanout 1..8 and depth 1..4.
-  Xoshiro256 rng(options.seed ^ ((index + 11) * kMix));
+  Xoshiro256 rng(it->Seed(11));
   const uint64_t workers = 2 + rng.UniformBelow(7);
   Result<TreeTopology> topo_result = [&]() -> Result<TreeTopology> {
     const uint64_t shape = rng.UniformBelow(3);
@@ -1208,191 +795,275 @@ Result<TreeIterationResult> RunTreeIteration(const ChaosOptions& options,
   STREAMFREQ_RETURN_NOT_OK(sim_result.status());
   MergeTreeSim& sim = *sim_result;
 
-  const std::string schedule =
-      options.failpoints.empty()
-          ? TreeChaosScheduleForIteration(options.seed, index)
-          : options.failpoints;
-  ScopedFailpoints failpoints(schedule,
-                              options.seed ^ ((index + 1) * kMix));
-  STREAMFREQ_RETURN_NOT_OK(failpoints.status());
+  ArmedSchedule armed(it);
+  STREAMFREQ_RETURN_NOT_OK(armed.status());
+  const Status status = [&]() -> Status {
+    // Stripe the stream across the leaves in contiguous slices, then offer
+    // interleaved batches with shipping rounds mixed in — deltas are in
+    // flight while other leaves are still ingesting.
+    const uint64_t leaves = topo.leaves.size();
+    const uint64_t slice = (stream.size() + leaves - 1) / leaves;
+    std::vector<uint64_t> offsets(leaves, 0);
+    const uint64_t batch = 128 + rng.UniformBelow(4) * 128;
+    const uint64_t epoch_at = rng.UniformBelow(stream.size() + 1);
+    uint64_t offered_so_far = 0;
+    bool epoch_marked = false;
+    bool exhausted = false;
+    while (!exhausted) {
+      exhausted = true;
+      for (uint64_t li = 0; li < leaves; ++li) {
+        const uint64_t begin = li * slice;
+        const uint64_t end = std::min<uint64_t>(begin + slice, stream.size());
+        const uint64_t len = end > begin ? end - begin : 0;
+        if (offsets[li] >= len) continue;
+        exhausted = false;
+        const uint64_t leaf = topo.leaves[li];
+        const uint64_t n = std::min<uint64_t>(batch, len - offsets[li]);
+        if (!sim.alive(leaf)) {
+          offsets[li] = len;  // a dead leaf's remaining slice is never offered
+          continue;
+        }
+        const Status offer = sim.Offer(
+            leaf, std::span<const ItemId>(stream.data() + begin + offsets[li],
+                                          n));
+        offsets[li] += n;
+        offered_so_far += n;
+        if (!offer.ok() && !offer.IsNotFound()) return it->CleanError(offer);
+        if (!epoch_marked && offered_so_far >= epoch_at) {
+          sim.MarkEpoch();
+          epoch_marked = true;
+        }
+      }
+      if (rng.UniformBelow(2) == 0) {
+        const Result<bool> round = sim.ShipRound();
+        if (!round.ok()) {
+          return it->Fail("ship round: " + round.status().ToString());
+        }
+      }
+    }
+    sim.Seal();
+    const Status drained = sim.Drain(64 + 8 * topo.max_depth());
+    if (!drained.ok()) return it->Fail("drain: " + drained.ToString());
 
-  TreeIterationResult result;
-  auto finish = [&result, &sim] {
-    result.stats = sim.stats();
-    result.fires = FailpointRegistry::Global().TotalFires();
+    // Exercise the root query surface (crash = failure; values are checked
+    // below through the guarantee machinery).
+    (void)sim.ApproxTop(program.k);
+    const Result<std::vector<ItemCount>> change = sim.MaxChange(program.k);
+    if (!change.ok()) {
+      return it->Fail("max-change: " + change.status().ToString());
+    }
+
+    // Conservation and composition at every node, and bit-identity of
+    // every node's sketch against its covered-prefix reference.
+    if (const Status invariants = sim.CheckInvariants(); !invariants.ok()) {
+      return it->Fail(invariants.ToString());
+    }
+
+    Stream effective;
+    for (const CoverageEntry& cov : sim.RootCovered()) {
+      const std::vector<ItemId>& items = sim.LeafIngested(cov.leaf_id);
+      effective.insert(effective.end(), items.begin(),
+                       items.begin() + static_cast<ptrdiff_t>(cov.count));
+    }
+    if (std::string why = CheckEffectiveStream(sim.root_sketch(), effective,
+                                               program, plan.lemma_width);
+        !why.empty()) {
+      return it->Fail(std::move(why));
+    }
+
+    // Loss-free runs must be bit-identical to a flat one-shot Merge of all
+    // leaf sketches over the full stream.
     const DistLedger root = sim.root_ledger();
-    result.dropped_items = root.rejected + root.dropped;
-  };
-  auto fail = [&](std::string detail) {
-    result.outcome = ChaosOutcome::kGuaranteeFailure;
-    result.detail = std::move(detail);
-    finish();
-    return result;
-  };
-
-  // Stripe the stream across the leaves in contiguous slices, then offer
-  // interleaved batches with shipping rounds mixed in — deltas are in
-  // flight while other leaves are still ingesting.
-  const uint64_t leaves = topo.leaves.size();
-  const uint64_t slice = (stream.size() + leaves - 1) / leaves;
-  std::vector<uint64_t> offsets(leaves, 0);
-  const uint64_t batch = 128 + rng.UniformBelow(4) * 128;
-  const uint64_t epoch_at = rng.UniformBelow(stream.size() + 1);
-  uint64_t offered_so_far = 0;
-  bool epoch_marked = false;
-  bool exhausted = false;
-  while (!exhausted) {
-    exhausted = true;
-    for (uint64_t li = 0; li < leaves; ++li) {
-      const uint64_t begin = li * slice;
-      const uint64_t end = std::min<uint64_t>(begin + slice, stream.size());
-      const uint64_t len = end > begin ? end - begin : 0;
-      if (offsets[li] >= len) continue;
-      exhausted = false;
-      const uint64_t leaf = topo.leaves[li];
-      const uint64_t n = std::min<uint64_t>(batch, len - offsets[li]);
-      if (!sim.alive(leaf)) {
-        offsets[li] = len;  // a dead leaf's remaining slice is never offered
-        continue;
-      }
-      const Status offer = sim.Offer(
-          leaf, std::span<const ItemId>(stream.data() + begin + offsets[li],
-                                        n));
-      offsets[li] += n;
-      offered_so_far += n;
-      if (!offer.ok() && !offer.IsNotFound()) {
-        result.outcome = ChaosOutcome::kCleanError;
-        result.detail = offer.ToString();
-        finish();
-        return result;
-      }
-      if (!epoch_marked && offered_so_far >= epoch_at) {
-        sim.MarkEpoch();
-        epoch_marked = true;
-      }
+    if (root.offered != stream.size() || root.rejected != 0 ||
+        root.dropped != 0 || root.ingested != stream.size()) {
+      return Status::OK();
     }
-    if (rng.UniformBelow(2) == 0) {
-      const Result<bool> round = sim.ShipRound();
-      if (!round.ok()) return fail("ship round: " + round.status().ToString());
-    }
-  }
-  sim.Seal();
-  const Status drained = sim.Drain(64 + 8 * topo.max_depth());
-  if (!drained.ok()) return fail("drain: " + drained.ToString());
-
-  // Exercise the root query surface (crash = failure; values are checked
-  // below through the guarantee machinery).
-  (void)sim.ApproxTop(program.k);
-  const Result<std::vector<ItemCount>> change = sim.MaxChange(program.k);
-  if (!change.ok()) return fail("max-change: " + change.status().ToString());
-
-  // Law 1+2: conservation and composition at every node, and bit-identity
-  // of every node's sketch against its covered-prefix reference.
-  if (const Status invariants = sim.CheckInvariants(); !invariants.ok()) {
-    return fail(invariants.ToString());
-  }
-
-  // Guarantee check over the effective (covered) stream: bounds widen by
-  // exactly the composed shed mass.
-  Stream effective;
-  for (const CoverageEntry& cov : sim.RootCovered()) {
-    const std::vector<ItemId>& items = sim.LeafIngested(cov.leaf_id);
-    effective.insert(effective.end(), items.begin(),
-                     items.begin() + static_cast<ptrdiff_t>(cov.count));
-  }
-  if (!effective.empty()) {
-    const Oracle effective_oracle(effective);
-    const VerifySetup check_setup = MakeVerifySetup(
-        program.k, program.epsilon, program.width_scale, program.seed,
-        effective_oracle);
-    const std::vector<Violation> violations = CheckCountSketchAgainstOracle(
-        sim.root_sketch(), effective_oracle, check_setup, plan.lemma_width);
-    if (!violations.empty()) {
-      return fail(violations.front().guarantee + std::string(": ") +
-                  violations.front().detail);
-    }
-  }
-
-  // Loss-free runs must be bit-identical to a flat one-shot Merge of all
-  // leaf sketches over the full stream.
-  const DistLedger root_ledger = sim.root_ledger();
-  const bool loss_free = root_ledger.offered == stream.size() &&
-                         root_ledger.rejected == 0 &&
-                         root_ledger.dropped == 0 &&
-                         root_ledger.ingested == stream.size();
-  if (loss_free) {
-    Result<CountSketch> flat = CountSketch::Make(plan.params);
-    STREAMFREQ_RETURN_NOT_OK(flat.status());
+    STREAMFREQ_ASSIGN_OR_RETURN(CountSketch flat,
+                                CountSketch::Make(plan.params));
     for (uint64_t leaf : topo.leaves) {
-      Result<CountSketch> leaf_sketch = CountSketch::Make(plan.params);
-      STREAMFREQ_RETURN_NOT_OK(leaf_sketch.status());
-      leaf_sketch->BatchAdd(
-          std::span<const ItemId>(sim.LeafIngested(leaf)));
-      STREAMFREQ_RETURN_NOT_OK(flat->Merge(*leaf_sketch));
+      STREAMFREQ_ASSIGN_OR_RETURN(CountSketch leaf_sketch,
+                                  CountSketch::Make(plan.params));
+      leaf_sketch.BatchAdd(std::span<const ItemId>(sim.LeafIngested(leaf)));
+      STREAMFREQ_RETURN_NOT_OK(flat.Merge(leaf_sketch));
     }
-    std::string want, got;
-    flat->SerializeTo(&want);
-    sim.root_sketch().SerializeTo(&got);
-    if (want != got) {
-      return fail("loss-free root sketch differs from flat one-shot merge");
+    if (!BitIdentical(sim.root_sketch(), flat)) {
+      return it->Fail("loss-free root sketch differs from flat one-shot merge");
     }
-    result.identity_checked = true;
-  }
+    it->counts.identity_checks = 1;
+    return Status::OK();
+  }();
 
-  finish();
-  return result;
+  // Every exit, verdict or not, reports what the tree did.
+  const MergeTreeStats& stats = sim.stats();
+  it->counts.deltas_shipped = stats.deltas_shipped;
+  it->counts.delta_dedups = stats.delta_dedups;
+  it->counts.severed_links = stats.severed_links;
+  it->counts.nodes_lost = stats.nodes_lost;
+  const DistLedger root = sim.root_ledger();
+  it->counts.dropped_items = root.rejected + root.dropped;
+  return status;
 }
+
+// ---------------------------------------------------------------------------
+// Schedules: each campaign draws its clauses; ChaosSchedule seeds and joins.
+// ---------------------------------------------------------------------------
+
+struct ScheduleDraw {
+  Xoshiro256 rng;
+  std::vector<std::string> clauses;
+
+  bool Chance(uint64_t percent) { return rng.UniformBelow(100) < percent; }
+  /// A crash clause's fire budget, 1..max.
+  std::string Budget(uint64_t max) {
+    return std::to_string(1 + rng.UniformBelow(max));
+  }
+  void Add(std::string clause) { clauses.push_back(std::move(clause)); }
+};
+
+void LibraryClauses(ScheduleDraw* d) {
+  // Crash clauses ALWAYS carry a fire budget: an unbounded always-crash
+  // worker would requeue and respawn forever.
+  if (d->Chance(35)) {
+    d->Add("ingestor.worker_batch=crash*" + d->Budget(3));
+  } else if (d->Chance(25)) {
+    d->Add("ingestor.worker_batch=stall:1@0.02");
+  }
+  if (d->Chance(20)) d->Add("batch_queue.push=error@0.02");
+  if (d->Chance(20)) d->Add("batch_queue.pop=stall:1@0.02");
+  if (d->Chance(25)) d->Add("ingestor.publish=error@0.5");
+  if (d->Chance(30)) {
+    d->Add(std::string("sketch_io.write=") +
+           (d->Chance(50) ? "torn*1" : "error*1"));
+  }
+  if (d->Chance(20)) d->Add("sketch_io.rename=error*1");
+  if (d->Chance(30)) {
+    d->Add(std::string("sketch_io.read=") +
+           (d->Chance(50) ? "bitflip*1" : "error*1"));
+  }
+}
+
+void ServerClauses(ScheduleDraw* d) {
+  // Connection-level faults: each severs one conversation; the drivers
+  // reconnect and reconciliation trusts the server-side ledger.
+  if (d->Chance(40)) d->Add("server.accept=error@0.1");
+  if (d->Chance(40)) d->Add("server.read=error@0.03");
+  if (d->Chance(40)) d->Add("server.write=error@0.03");
+  // Staleness: snapshot refreshes withheld on a coin flip.
+  if (d->Chance(40)) d->Add("server.publish=error@0.5");
+  // Back-pressure behind the protocol: stalled queues arm the tenants'
+  // shed/sample admission control, crashed workers force respawns.
+  if (d->Chance(25)) d->Add("ingestor.worker_batch=crash*" + d->Budget(2));
+  if (d->Chance(20)) d->Add("batch_queue.pop=stall:1@0.02");
+  if (d->Chance(20)) d->Add("ingestor.publish=error@0.5");
+}
+
+void RestartClauses(ScheduleDraw* d) {
+  // Exactly one process-death clause, probability-throttled and *1-budgeted
+  // (each iteration dies at most once at a failpoint; the real SIGKILL in
+  // the driver is on top). Each site leaves a different on-disk shape:
+  //   wal.append       death before the record hits the journal
+  //   wal.fsync        record written but not yet forced (page cache)
+  //   snapshot.publish death before the snapshot's commit rename
+  //   sketch_io.write  death mid-blob-write (temp file only)
+  //   sketch_io.rename temp fully written, rename never happened
+  static constexpr const char* kDeathSites[] = {
+      "wal.append", "wal.fsync", "snapshot.publish", "sketch_io.write",
+      "sketch_io.rename"};
+  const std::string death = kDeathSites[d->rng.UniformBelow(5)];
+  d->Add(death + "=crash@0.08*1");
+  // Benign companions: severed acks (the applied-but-unacked ambiguity)
+  // and, when the death site leaves wal.append free, one torn journal
+  // record — which poisons the store into loud rejections, not corruption.
+  if (d->Chance(25)) d->Add("server.write=error@0.02");
+  if (d->Chance(15) && death != "wal.append") d->Add("wal.append=torn@0.05*1");
+}
+
+void TreeClauses(ScheduleDraw* d) {
+  // Admission faults at the leaves: rejected batches and recorded sheds —
+  // the mass the conservation ledger must carry up the tree.
+  if (d->Chance(30)) {
+    d->Add("dist.ingest=error@0.05");
+  } else if (d->Chance(25)) {
+    d->Add("dist.ingest=torn@0.05");
+  }
+  // Uplink frame faults: severed, torn, or bit-flipped in flight. Torn and
+  // flipped frames must die at the CRC and count as severs, never as
+  // applied garbage.
+  if (d->Chance(35)) {
+    d->Add("dist.ship=error@0.08");
+  } else if (d->Chance(25)) {
+    d->Add("dist.ship=torn@0.06");
+  } else if (d->Chance(20)) {
+    d->Add("dist.ship=bitflip@0.05");
+  }
+  // Dropped deliveries re-ack the OLD seqno; lost acks force verbatim
+  // resends — both must dedup exactly.
+  if (d->Chance(30)) d->Add("dist.deliver=error@0.08");
+  if (d->Chance(35)) d->Add("dist.ack=error@0.1");
+  // Node loss ALWAYS carries a budget: an unbounded crash clause would
+  // eventually kill every node and leave nothing to assert.
+  if (d->Chance(30)) d->Add("dist.node=crash@0.02*" + d->Budget(2));
+}
+
+/// Everything the engine needs to know about a campaign.
+struct CampaignDef {
+  const char* tag;               ///< names its scratch files
+  uint64_t schedule_salt;        ///< tells its schedule seeds apart
+  void (*clauses)(ScheduleDraw*);
+  const char* fallback;          ///< the clause when none was drawn
+  Status (*run)(Iteration*);
+  bool fuzz_program;             ///< its workload is a replayable program
+};
+
+const CampaignDef& Def(ChaosCampaign campaign) {
+  static const CampaignDef kDefs[] = {
+      {"lib", 1, LibraryClauses, "ingestor.worker_batch=crash*1",
+       RunLibraryIteration, true},
+      {"srv", 5, ServerClauses, "server.write=error@0.05", RunServerIteration,
+       false},
+      // Never empty: it always draws its death clause.
+      {"rst", 9, RestartClauses, "", RunRestartIteration, false},
+      {"tree", 13, TreeClauses, "dist.ack=error@0.1", RunTreeIteration, true},
+  };
+  return kDefs[static_cast<size_t>(campaign)];
+}
+
+/// The per-iteration counters the engine sums into the campaign report.
+constexpr uint64_t ChaosReport::*kCounters[] = {
+    &ChaosReport::fault_fires,     &ChaosReport::worker_respawns,
+    &ChaosReport::dropped_items,   &ChaosReport::io_round_trips,
+    &ChaosReport::io_faults,       &ChaosReport::server_requests,
+    &ChaosReport::server_severs,   &ChaosReport::stale_serves,
+    &ChaosReport::server_restarts, &ChaosReport::crash_kills,
+    &ChaosReport::recoveries,      &ChaosReport::identity_checks,
+    &ChaosReport::deltas_shipped,  &ChaosReport::delta_dedups,
+    &ChaosReport::severed_links,   &ChaosReport::nodes_lost,
+};
 
 }  // namespace
 
-Result<ChaosReport> RunTreeChaosCampaign(const ChaosOptions& options) {
-  if (options.iterations == 0) {
-    return Status::InvalidArgument("chaos: iterations must be >= 1");
+std::string ChaosSchedule(ChaosCampaign campaign, uint64_t seed,
+                          uint64_t index) {
+  const CampaignDef& def = Def(campaign);
+  ScheduleDraw draw{
+      Xoshiro256(seed ^ kScheduleSalt ^ ((index + def.schedule_salt) * kMix)),
+      {}};
+  def.clauses(&draw);
+  if (draw.clauses.empty()) draw.Add(def.fallback);
+  std::string spec;
+  for (const std::string& clause : draw.clauses) {
+    if (!spec.empty()) spec += ';';
+    spec += clause;
   }
-  ChaosReport report;
-  for (uint64_t index = 0; index < options.iterations; ++index) {
-    STREAMFREQ_ASSIGN_OR_RETURN(TreeIterationResult iteration,
-                                RunTreeIteration(options, index));
-    ++report.iterations;
-    report.fault_fires += iteration.fires;
-    if (iteration.fires > 0) ++report.faulted_iterations;
-    report.dropped_items += iteration.dropped_items;
-    report.deltas_shipped += iteration.stats.deltas_shipped;
-    report.delta_dedups += iteration.stats.delta_dedups;
-    report.severed_links += iteration.stats.severed_links;
-    report.nodes_lost += iteration.stats.nodes_lost;
-    if (iteration.identity_checked) ++report.identity_checks;
-    switch (iteration.outcome) {
-      case ChaosOutcome::kVerified:
-        ++report.verified;
-        break;
-      case ChaosOutcome::kCleanError:
-        ++report.clean_errors;
-        break;
-      case ChaosOutcome::kGuaranteeFailure: {
-        ++report.guarantee_failures;
-        ChaosFailure failure;
-        failure.index = index;
-        failure.program =
-            FormatProgram(ProgramFromSeed(options.seed ^ kProgramSalt, index));
-        failure.schedule =
-            options.failpoints.empty()
-                ? TreeChaosScheduleForIteration(options.seed, index)
-                : options.failpoints;
-        failure.detail = iteration.detail;
-        report.failures.push_back(std::move(failure));
-        break;
-      }
-    }
-  }
-  return report;
+  return spec;
 }
 
-Result<ChaosReport> RunServerRestartCampaign(const ChaosOptions& options) {
+Result<ChaosReport> RunChaosCampaign(const ChaosOptions& options) {
   if (options.iterations == 0) {
     return Status::InvalidArgument("chaos: iterations must be >= 1");
   }
-  if (options.server_binary.empty()) {
+  if (options.campaign == ChaosCampaign::kServerRestart &&
+      options.server_binary.empty()) {
     return Status::InvalidArgument(
         "chaos: --server-restart needs the sfq binary path");
   }
@@ -1404,41 +1075,40 @@ Result<ChaosReport> RunServerRestartCampaign(const ChaosOptions& options) {
     if (ec) return Status::IoError("chaos: no temp directory: " + ec.message());
     io_dir = tmp.string();
   }
+  const CampaignDef& def = Def(options.campaign);
+  // The pid keeps concurrent campaigns with one seed out of each other's
+  // sockets and data dirs.
+  const std::string scratch = io_dir + "/sfq_chaos_" + def.tag + "_" +
+                              std::to_string(::getpid()) + "_" +
+                              std::to_string(options.seed) + "_";
 
   ChaosReport report;
   for (uint64_t index = 0; index < options.iterations; ++index) {
-    STREAMFREQ_ASSIGN_OR_RETURN(
-        ServerIterationResult iteration,
-        RunServerRestartIteration(options, io_dir, index));
+    Iteration it(options, index,
+                 options.failpoints.empty()
+                     ? ChaosSchedule(options.campaign, options.seed, index)
+                     : options.failpoints,
+                 scratch + std::to_string(index));
+    STREAMFREQ_RETURN_NOT_OK(def.run(&it));
+
     ++report.iterations;
-    if (iteration.deaths > 0) ++report.faulted_iterations;
-    report.dropped_items += iteration.dropped_items;
-    report.server_requests += iteration.requests;
-    report.server_severs += iteration.severs;
-    report.stale_serves += iteration.stale_serves;
-    report.server_restarts += iteration.restarts;
-    report.crash_kills += iteration.deaths;
-    report.recoveries += iteration.recoveries;
-    report.identity_checks += iteration.identity_checks;
-    switch (iteration.outcome) {
+    for (const auto counter : kCounters) report.*counter += it.counts.*counter;
+    if (it.counts.fault_fires > 0 || it.counts.crash_kills > 0) {
+      ++report.faulted_iterations;
+    }
+    switch (it.outcome) {
       case ChaosOutcome::kVerified:
         ++report.verified;
         break;
       case ChaosOutcome::kCleanError:
         ++report.clean_errors;
         break;
-      case ChaosOutcome::kGuaranteeFailure: {
+      case ChaosOutcome::kGuaranteeFailure:
         ++report.guarantee_failures;
-        ChaosFailure failure;
-        failure.index = index;
-        failure.schedule =
-            options.failpoints.empty()
-                ? ServerRestartScheduleForIteration(options.seed, index)
-                : options.failpoints;
-        failure.detail = iteration.detail;
-        report.failures.push_back(std::move(failure));
+        report.failures.push_back(
+            {index, def.fuzz_program ? FormatProgram(it.Program()) : "",
+             it.schedule, it.detail});
         break;
-      }
     }
   }
   return report;

@@ -1,31 +1,32 @@
-// Chaos harness: fuzz programs replayed under randomized fault injection.
+// Chaos harness: seeded workloads replayed under randomized fault injection.
 //
-// Each iteration takes one seeded FuzzProgram (the same grammar `sfq
-// verify` replays), arms a bounded failpoint schedule, and pushes the
-// stream through the degraded ParallelIngestor (shed/sample overflow
-// policies with the spill recorded). The invariant under test is the
-// robustness contract of the whole pipeline:
+// One engine runs four campaigns (ChaosCampaign below). Each iteration
+// derives a bounded failpoint schedule from (seed, iteration), arms it,
+// and pushes a seeded stream through one campaign's pipeline. Every
+// campaign holds the robustness contract of the whole system:
 //
 //   every iteration ends in a clean error Status, or in a sketch that
-//   passes its GuaranteeChecker against the *effective* stream — the
-//   items that actually reached a worker, i.e. the input multiset minus
-//   the recorded shed mass. Nothing crashes, nothing silently lies.
+//   passes its guarantee check against the *effective* stream — the items
+//   that actually reached a sketch, i.e. the input multiset minus the
+//   recorded shed mass. Nothing crashes, nothing silently lies.
 //
 // Checking against the effective stream is what "widen the bounds by
 // exactly the shed mass" means operationally: the oracle, probes, and
 // residual-F2 term are recomputed from the surviving items, so a degraded
 // run is held to the same Lemma 4/5 bound as a clean one over the stream
-// it really saw. IngestStats conservation (offered == ingested + dropped)
-// is asserted on every iteration as well.
+// it really saw. The conservation ledger (offered − rejected == ingested +
+// dropped) is asserted on every iteration as well, and runs that lost
+// nothing must be bit-identical to a sequential reference, as Count-Sketch
+// linearity requires.
 //
-// Schedules are deterministic in (seed, iteration): crash clauses always
-// carry a *N budget — an unbounded always-crash schedule would respawn
-// forever — and stall parameters stay in the low milliseconds. A saved
-// sketch is also round-tripped through sketch_io under the I/O failpoints
-// when `exercise_io` is set.
+// Schedules are deterministic in (campaign, seed, iteration): crash
+// clauses always carry a *N budget — an unbounded always-crash schedule
+// would respawn forever — and stall parameters stay in the low
+// milliseconds.
 //
-// Entry points: `sfq chaos` (scripts/check.sh runs a 200-iteration quick
-// profile; the nightly campaign runs longer) and tests/chaos_test.cc.
+// Entry points: `sfq chaos` (scripts/check.sh runs a quick profile of each
+// campaign; the nightly campaign runs longer) and tests/chaos_test.cc,
+// which runs all four.
 #pragma once
 
 #include <cstdint>
@@ -36,18 +37,63 @@
 
 namespace streamfreq {
 
+/// The pipeline a campaign drives, and what it checks.
+enum class ChaosCampaign : uint8_t {
+  /// `sfq chaos`: each iteration takes one seeded FuzzProgram (the grammar
+  /// `sfq verify` replays) through the degraded ParallelIngestor
+  /// (shed/sample overflow policies with the spill recorded). IngestStats
+  /// conservation (offered == ingested + dropped) holds on every
+  /// iteration; with `exercise_io` the surviving sketch also round-trips
+  /// through sketch_io under its failpoints.
+  kLibrary,
+  /// `sfq chaos --server`: each iteration boots an in-process SfqServer on
+  /// a socket under io_dir and pushes a seeded stream into shed- and
+  /// sample-policy tenants through real client connections while
+  /// server.accept/read/write/publish faults sever connections and
+  /// withhold snapshots. A severed connection is the expected fault
+  /// surface: the iteration fails only on broken accounting (per tenant,
+  /// offered − rejected == ingested + dropped, and client acks never
+  /// exceed server offers), an epoch that moves backwards, a dead server,
+  /// or a bad surviving sketch.
+  kServer,
+  /// `sfq chaos --server-restart`: each iteration forks a real `sfq serve
+  /// --data-dir` process with exactly one process-death clause armed (a
+  /// crash is std::_Exit at one of the durability sites — journal
+  /// append/fsync, snapshot publish, blob write/rename — a faithful power
+  /// cut for everything except the page cache). It drives a durable
+  /// tenant through at-most-once ingest chunks and, whenever the daemon
+  /// dies at a failpoint or is SIGKILLed at a randomized chunk boundary,
+  /// relaunches it clean over the same data dir. After recovery the
+  /// ledger holds with the recovered prefix in base_ingested, acks never
+  /// exceed offers, and epochs are monotone within each server process.
+  /// Requires ChaosOptions::server_binary.
+  kServerRestart,
+  /// `sfq chaos --tree`: each iteration builds a randomized topology (flat
+  /// star, balanced, or ragged random tree) over a seeded fuzz-program
+  /// stream striped across the leaves, then drives ingest and delta
+  /// shipping (src/dist/merge_tree.h) under the five dist.* sites —
+  /// admission faults, severed/torn/bit-flipped uplink frames, dropped
+  /// deliveries, lost acks — plus budgeted node loss. The root sketch must
+  /// be bit-identical to the sketch of exactly the covered prefix of every
+  /// leaf stream, the ledger must hold at every node and compose hop by
+  /// hop, and re-delivered deltas must dedup exactly.
+  kTree,
+};
+
 /// Campaign configuration.
 struct ChaosOptions {
-  uint64_t seed = 1;          ///< master seed for programs + schedules
-  uint64_t iterations = 200;  ///< fuzz programs to replay under faults
+  ChaosCampaign campaign = ChaosCampaign::kLibrary;
+  uint64_t seed = 1;          ///< master seed for workloads + schedules
+  uint64_t iterations = 200;  ///< seeded workloads to replay under faults
   /// Failpoint spec applied to every iteration. Empty = derive a fresh
   /// bounded schedule from (seed, iteration). Beware unbounded crash
   /// clauses here: `...=crash` with no *N budget respawns forever.
   std::string failpoints;
-  /// Also save/load each surviving sketch through sketch_io (exercising
-  /// the sketch_io.* failpoints) in `io_dir`.
+  /// Library campaign: also save/load each surviving sketch through
+  /// sketch_io (exercising the sketch_io.* failpoints) in `io_dir`.
   bool exercise_io = true;
-  /// Directory for round-trip files; empty = the system temp directory.
+  /// Directory for round-trip files, sockets and data dirs; empty = the
+  /// system temp directory.
   std::string io_dir;
   /// Path to the `sfq` binary, required by the kill-restart campaign
   /// (`sfq chaos --server-restart` passes its own image).
@@ -76,12 +122,13 @@ struct ChaosReport {
   uint64_t clean_errors = 0;
   uint64_t guarantee_failures = 0;
   uint64_t fault_fires = 0;       ///< failpoint activations across the run
-  uint64_t faulted_iterations = 0;  ///< iterations where >= 1 fault fired
+  uint64_t faulted_iterations = 0;  ///< iterations where a fault fired or
+                                    ///< a process died
   uint64_t worker_respawns = 0;
   uint64_t dropped_items = 0;     ///< shed + sampled-away + abandoned mass
   uint64_t io_round_trips = 0;    ///< sketch_io round trips attempted
   uint64_t io_faults = 0;         ///< round trips that failed cleanly
-  uint64_t server_requests = 0;   ///< requests processed (server campaign)
+  uint64_t server_requests = 0;   ///< requests processed (server campaigns)
   uint64_t server_severs = 0;     ///< client-visible connection severs
   uint64_t stale_serves = 0;      ///< queries served a withheld snapshot
   uint64_t server_restarts = 0;   ///< daemon relaunches (restart campaign)
@@ -97,87 +144,15 @@ struct ChaosReport {
   bool Passed() const { return guarantee_failures == 0; }
 };
 
-/// The deterministic per-iteration failpoint schedule used when
+/// The deterministic failpoint schedule of iteration `index`, used when
 /// ChaosOptions::failpoints is empty. Exposed so tests can assert the
 /// schedules are bounded and reproducible.
-std::string ChaosScheduleForIteration(uint64_t seed, uint64_t index);
+std::string ChaosSchedule(ChaosCampaign campaign, uint64_t seed,
+                          uint64_t index);
 
-/// Runs the campaign. Status errors here are harness-level problems
-/// (e.g. an unmaterializable program), not injected faults — those are
-/// tallied in the report.
+/// Runs `options.campaign`. Status errors here are harness-level problems
+/// (e.g. an unmaterializable program or a bad failpoint spec), not
+/// injected faults — those are tallied in the report.
 Result<ChaosReport> RunChaosCampaign(const ChaosOptions& options);
-
-/// The deterministic schedule for the server campaign: the four server.*
-/// sites plus ingestor back-pressure faults, all probability-bounded.
-std::string ServerChaosScheduleForIteration(uint64_t seed, uint64_t index);
-
-/// The server campaign (`sfq chaos --server`): each iteration boots an
-/// in-process SfqServer on a socket under io_dir, pushes a seeded stream
-/// into shed- and sample-policy tenants through real client connections
-/// while server.accept/read/write/publish faults sever connections and
-/// withhold snapshots, then seals and reconciles. The invariant:
-///
-///   per tenant, offered - rejected == items_ingested + dropped (the
-///   admission-control conservation law), client-acked items never exceed
-///   server-offered items (write faults make acks an undercount, never an
-///   overcount), query epochs never move backwards, and when no fault
-///   created ambiguity the exported sketch is bit-identical to a
-///   sequential reference and passes the Lemma 4/5 check.
-///
-/// A severed connection is the expected fault surface, not a failure;
-/// the campaign fails only on broken accounting, epoch regression, a dead
-/// server, or a bad surviving sketch.
-Result<ChaosReport> RunServerChaosCampaign(const ChaosOptions& options);
-
-/// The deterministic schedule for the kill-restart campaign: exactly one
-/// process-death clause (probability-throttled, *1-budgeted) drawn from the
-/// durability sites — journal append/fsync, snapshot publish, blob
-/// write/rename — each of which leaves a different on-disk shape behind,
-/// plus optional benign companions (severed writes, a torn journal record).
-std::string ServerRestartScheduleForIteration(uint64_t seed, uint64_t index);
-
-/// The kill-restart campaign (`sfq chaos --server-restart`): each iteration
-/// forks a real `sfq serve --data-dir` process with a crash failpoint
-/// schedule armed (crash = std::_Exit at the site, a faithful power-cut for
-/// everything except the page cache), drives a durable tenant through
-/// at-most-once ingest chunks, and — whenever the daemon dies at a
-/// failpoint or is SIGKILLed at a randomized chunk boundary — relaunches it
-/// clean and continues against the recovered state. The invariant:
-///
-///   after recovery, offered - rejected == base_ingested + items_ingested
-///   + dropped (the conservation law, with the recovered prefix in
-///   base_ingested), client-acked items never exceed server-offered items
-///   (fsync=always makes every acked batch durable), epochs are monotone
-///   within each server process, and when no batch was lost in flight the
-///   exported sketch is bit-identical to a sequential reference and clean
-///   under the Lemma 4/5 check.
-///
-/// Requires ChaosOptions::server_binary. A dead server that cannot be
-/// relaunched, broken accounting, or a bad surviving sketch fails the
-/// iteration; process deaths themselves are the point.
-Result<ChaosReport> RunServerRestartCampaign(const ChaosOptions& options);
-
-/// The deterministic schedule for the merge-tree campaign: the five dist.*
-/// sites (docs/ROBUSTNESS.md) — admission faults, severed/torn/bit-flipped
-/// uplink frames, dropped deliveries, lost acks — plus node-loss crash
-/// clauses that ALWAYS carry a *N budget so most of the tree stays alive.
-std::string TreeChaosScheduleForIteration(uint64_t seed, uint64_t index);
-
-/// The merge-tree campaign (`sfq chaos --tree`): each iteration builds a
-/// randomized topology (flat star, balanced, or ragged random tree) over a
-/// seeded fuzz-program stream striped across the leaves, then drives
-/// ingest and delta shipping (src/dist/merge_tree.h) under the dist.*
-/// failpoint schedule. The invariant:
-///
-///   every iteration ends in a clean error Status, or in a root sketch
-///   that is bit-identical to the sketch of exactly the covered prefix of
-///   every leaf stream AND passes the Lemma 4/5 check against the oracle
-///   of that covered (effective) stream — the bounds widen by exactly the
-///   composed shed mass, nothing more. The conservation ledger
-///   (offered − rejected == ingested + dropped) must hold at every node
-///   and compose hop by hop, re-delivered deltas must dedup exactly, and
-///   loss-free runs must be bit-identical to a flat one-shot Merge of all
-///   leaf sketches.
-Result<ChaosReport> RunTreeChaosCampaign(const ChaosOptions& options);
 
 }  // namespace streamfreq

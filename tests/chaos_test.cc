@@ -21,24 +21,6 @@ constexpr uint64_t kCampaignIterations = 40;
 constexpr uint64_t kCampaignIterations = 200;
 #endif
 
-// Dispatches to each campaign's schedule function by campaign.
-enum class ChaosCampaign { kLibrary, kServer, kServerRestart, kTree };
-
-std::string ChaosSchedule(ChaosCampaign campaign, uint64_t seed,
-                          uint64_t index) {
-  switch (campaign) {
-    case ChaosCampaign::kLibrary:
-      return ChaosScheduleForIteration(seed, index);
-    case ChaosCampaign::kServer:
-      return ServerChaosScheduleForIteration(seed, index);
-    case ChaosCampaign::kServerRestart:
-      return ServerRestartScheduleForIteration(seed, index);
-    case ChaosCampaign::kTree:
-      return TreeChaosScheduleForIteration(seed, index);
-  }
-  return "";
-}
-
 constexpr ChaosCampaign kCampaigns[] = {
     ChaosCampaign::kLibrary, ChaosCampaign::kServer,
     ChaosCampaign::kServerRestart, ChaosCampaign::kTree};
@@ -221,7 +203,8 @@ TEST(ChaosTest, ServerCampaignReconcilesUnderFaults) {
   ChaosOptions options;
   options.seed = 2026;
   options.iterations = kServerIterations;
-  auto report = RunServerChaosCampaign(options);
+  options.campaign = ChaosCampaign::kServer;
+  auto report = RunChaosCampaign(options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->iterations, kServerIterations);
   EXPECT_TRUE(report->Passed());
@@ -233,6 +216,58 @@ TEST(ChaosTest, ServerCampaignReconcilesUnderFaults) {
   EXPECT_GT(report->faulted_iterations, 0u);
   EXPECT_GT(report->server_requests, 0u);
   EXPECT_GT(report->verified, 0u);
+}
+
+// The merge-tree campaign: every iteration ends in a clean error or a root
+// bit-identical to its covered-prefix reference that passes Lemma 4/5.
+TEST(ChaosTest, TreeCampaignSurvivesRandomizedFaultSchedules) {
+#if defined(__SANITIZE_THREAD__)
+  constexpr uint64_t kTreeIterations = 2;
+#else
+  constexpr uint64_t kTreeIterations = 4;
+#endif
+  ChaosOptions options;
+  options.campaign = ChaosCampaign::kTree;
+  options.seed = 42;
+  options.iterations = kTreeIterations;
+  auto report = RunChaosCampaign(options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->iterations, kTreeIterations);
+  EXPECT_TRUE(report->Passed());
+  for (const ChaosFailure& failure : report->failures) {
+    ADD_FAILURE() << "iteration " << failure.index << " [" << failure.schedule
+                  << "] " << failure.program << ": " << failure.detail;
+  }
+  EXPECT_GT(report->faulted_iterations, 0u);
+  EXPECT_GT(report->identity_checks, 0u);
+}
+
+// The kill-restart campaign against real forked `sfq serve` daemons: the
+// ledger survives every death and loss-free runs recover bit-identically.
+TEST(ChaosTest, RestartCampaignRecoversAfterEveryDeath) {
+  ChaosOptions options;
+  options.campaign = ChaosCampaign::kServerRestart;
+  options.seed = 42;
+  options.iterations = 6;
+  options.server_binary = SFQ_BINARY;
+  auto report = RunChaosCampaign(options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->iterations, 6u);
+  EXPECT_TRUE(report->Passed());
+  for (const ChaosFailure& failure : report->failures) {
+    ADD_FAILURE() << "iteration " << failure.index << " ["
+                  << failure.schedule << "]: " << failure.detail;
+  }
+  EXPECT_GT(report->faulted_iterations, 0u);
+  EXPECT_GT(report->recoveries, 0u);
+  EXPECT_GT(report->identity_checks, 0u);
+}
+
+TEST(ChaosTest, RestartCampaignNeedsTheServerBinary) {
+  ChaosOptions options;
+  options.campaign = ChaosCampaign::kServerRestart;
+  options.iterations = 1;
+  EXPECT_TRUE(RunChaosCampaign(options).status().IsInvalidArgument());
 }
 
 TEST(ChaosTest, RejectsZeroIterations) {

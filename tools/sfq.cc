@@ -584,16 +584,78 @@ int CmdVerify(const Flags& flags) {
   return report->Pass() ? 0 : 1;
 }
 
+// One `sfq chaos` report line: its table label (null: JSON only), its
+// JSON key, its field.
+struct ChaosMetric {
+  const char* label;
+  const char* key;
+  uint64_t ChaosReport::*field;
+};
+
+// The lines every campaign reports first.
+constexpr ChaosMetric kChaosCommon[] = {
+    {"iterations", "iterations", &ChaosReport::iterations},
+    {"verified", "verified", &ChaosReport::verified},
+    {"clean errors", "clean_errors", &ChaosReport::clean_errors},
+    {"guarantee failures", "guarantee_failures",
+     &ChaosReport::guarantee_failures},
+    {"fault fires", "fault_fires", &ChaosReport::fault_fires},
+    {"faulted iterations", "faulted_iterations",
+     &ChaosReport::faulted_iterations},
+    {"worker respawns", "worker_respawns", &ChaosReport::worker_respawns},
+    {"dropped items", "dropped_items", &ChaosReport::dropped_items},
+};
+constexpr ChaosMetric kIoRoundTrips{nullptr, "io_round_trips",
+                                    &ChaosReport::io_round_trips};
+constexpr ChaosMetric kIoFaults{nullptr, "io_faults", &ChaosReport::io_faults};
+constexpr ChaosMetric kRequests{"server requests", "server_requests",
+                                &ChaosReport::server_requests};
+constexpr ChaosMetric kSevers{"connection severs", "server_severs",
+                              &ChaosReport::server_severs};
+constexpr ChaosMetric kIdentity{"identity checks", "identity_checks",
+                                &ChaosReport::identity_checks};
+
+// Each campaign's flag (none for the library campaign) and the lines it
+// reports after the common ones.
+struct ChaosView {
+  ChaosCampaign campaign;
+  const char* flag;
+  std::vector<ChaosMetric> metrics;
+};
+
+const std::vector<ChaosView>& ChaosViews() {
+  static const std::vector<ChaosView> kViews = {
+      {ChaosCampaign::kLibrary,
+       nullptr,
+       {{"io round trips", "io_round_trips", &ChaosReport::io_round_trips},
+        {"io faults", "io_faults", &ChaosReport::io_faults}}},
+      {ChaosCampaign::kServer,
+       "server",
+       {kIoRoundTrips, kIoFaults, kRequests, kSevers,
+        {"stale serves", "stale_serves", &ChaosReport::stale_serves}}},
+      {ChaosCampaign::kServerRestart,
+       "server-restart",
+       {kIoRoundTrips, kIoFaults, kRequests, kSevers,
+        {nullptr, "stale_serves", &ChaosReport::stale_serves},
+        {"server restarts", "server_restarts", &ChaosReport::server_restarts},
+        {"process deaths", "crash_kills", &ChaosReport::crash_kills},
+        {"recoveries", "recoveries", &ChaosReport::recoveries}, kIdentity}},
+      {ChaosCampaign::kTree,
+       "tree",
+       {kIoRoundTrips, kIoFaults,
+        {"deltas shipped", "deltas_shipped", &ChaosReport::deltas_shipped},
+        {"delta dedups", "delta_dedups", &ChaosReport::delta_dedups},
+        {"severed links", "severed_links", &ChaosReport::severed_links},
+        {"nodes lost", "nodes_lost", &ChaosReport::nodes_lost}, kIdentity}},
+  };
+  return kViews;
+}
+
 int CmdChaos(const Flags& flags) {
   auto seed = flags.GetInt("seed", 42);
   auto iters = flags.GetInt("iters", 200);
   auto io = flags.GetBool("io", true);
-  auto server = flags.GetBool("server", false);
-  auto restart = flags.GetBool("server-restart", false);
-  auto tree = flags.GetBool("tree", false);
-  for (const Status& s :
-       {seed.status(), iters.status(), io.status(), server.status(),
-        restart.status(), tree.status()}) {
+  for (const Status& s : {seed.status(), iters.status(), io.status()}) {
     if (!s.ok()) return Fail(s);
   }
   if (*iters <= 0) {
@@ -605,7 +667,24 @@ int CmdChaos(const Flags& flags) {
   options.iterations = static_cast<uint64_t>(*iters);
   options.failpoints = flags.GetString("failpoints", "");
   options.exercise_io = *io;
-  if (*restart) {
+  // The library campaign unless one campaign flag picks another.
+  const ChaosView* view = &ChaosViews().front();
+  int chosen = 0;
+  for (const ChaosView& candidate : ChaosViews()) {
+    if (candidate.flag == nullptr) continue;
+    auto on = flags.GetBool(candidate.flag, false);
+    if (!on.ok()) return Fail(on.status());
+    if (*on) {
+      view = &candidate;
+      ++chosen;
+    }
+  }
+  if (chosen > 1) {
+    return Fail(Status::InvalidArgument(
+        "chaos: give at most one of --server, --server-restart, --tree"));
+  }
+  options.campaign = view->campaign;
+  if (options.campaign == ChaosCampaign::kServerRestart) {
     // The campaign forks fresh `sfq serve` processes from this very image.
     std::error_code ec;
     const std::filesystem::path self =
@@ -616,51 +695,28 @@ int CmdChaos(const Flags& flags) {
     }
     options.server_binary = self.string();
   }
-  auto report = *restart ? RunServerRestartCampaign(options)
-                : *server ? RunServerChaosCampaign(options)
-                : *tree   ? RunTreeChaosCampaign(options)
-                          : RunChaosCampaign(options);
+  auto report = RunChaosCampaign(options);
   if (!report.ok()) return Fail(report.status());
 
   TablePrinter table({"metric", "value"});
-  table.AddRowValues("iterations", report->iterations);
-  table.AddRowValues("verified", report->verified);
-  table.AddRowValues("clean errors", report->clean_errors);
-  table.AddRowValues("guarantee failures", report->guarantee_failures);
-  table.AddRowValues("fault fires", report->fault_fires);
-  table.AddRowValues("faulted iterations", report->faulted_iterations);
-  table.AddRowValues("worker respawns", report->worker_respawns);
-  table.AddRowValues("dropped items", report->dropped_items);
-  if (*restart) {
-    table.AddRowValues("server requests", report->server_requests);
-    table.AddRowValues("connection severs", report->server_severs);
-    table.AddRowValues("server restarts", report->server_restarts);
-    table.AddRowValues("process deaths", report->crash_kills);
-    table.AddRowValues("recoveries", report->recoveries);
-    table.AddRowValues("identity checks", report->identity_checks);
-  } else if (*server) {
-    table.AddRowValues("server requests", report->server_requests);
-    table.AddRowValues("connection severs", report->server_severs);
-    table.AddRowValues("stale serves", report->stale_serves);
-  } else if (*tree) {
-    table.AddRowValues("deltas shipped", report->deltas_shipped);
-    table.AddRowValues("delta dedups", report->delta_dedups);
-    table.AddRowValues("severed links", report->severed_links);
-    table.AddRowValues("nodes lost", report->nodes_lost);
-    table.AddRowValues("identity checks", report->identity_checks);
-  } else {
-    table.AddRowValues("io round trips", report->io_round_trips);
-    table.AddRowValues("io faults", report->io_faults);
+  std::vector<JsonField> fields;
+  fields.push_back(JsonField::Integer("seed", *seed));
+  std::vector<ChaosMetric> metrics(std::begin(kChaosCommon),
+                                   std::end(kChaosCommon));
+  metrics.insert(metrics.end(), view->metrics.begin(), view->metrics.end());
+  for (const ChaosMetric& m : metrics) {
+    if (m.label != nullptr) table.AddRowValues(m.label, *report.*m.field);
+    fields.push_back(JsonField::Integer(
+        m.key, static_cast<int64_t>(*report.*m.field)));
   }
   EmitTable(table, "chaos", std::cout);
+  const std::string campaign_flag =
+      view->flag == nullptr ? "" : std::string(" --") + view->flag + " true";
   for (const ChaosFailure& failure : report->failures) {
     std::cout << "FAIL iteration " << failure.index << ": " << failure.detail
               << "\n  schedule: " << failure.schedule
               << "\n  replay: sfq chaos --seed " << *seed
-              << " --iters " << (failure.index + 1)
-              << (*restart ? " --server-restart true"
-                  : *server ? " --server true"
-                  : *tree   ? " --tree true" : "")
+              << " --iters " << (failure.index + 1) << campaign_flag
               << (options.failpoints.empty()
                       ? ""
                       : " --failpoints \"" + options.failpoints + "\"")
@@ -672,59 +728,6 @@ int CmdChaos(const Flags& flags) {
             << report->fault_fires << " fault fires (seed=" << *seed
             << ")\n";
 
-  std::vector<JsonField> fields;
-  fields.push_back(JsonField::Integer("seed", *seed));
-  fields.push_back(JsonField::Integer(
-      "iterations", static_cast<int64_t>(report->iterations)));
-  fields.push_back(JsonField::Integer(
-      "verified", static_cast<int64_t>(report->verified)));
-  fields.push_back(JsonField::Integer(
-      "clean_errors", static_cast<int64_t>(report->clean_errors)));
-  fields.push_back(JsonField::Integer(
-      "guarantee_failures", static_cast<int64_t>(report->guarantee_failures)));
-  fields.push_back(JsonField::Integer(
-      "fault_fires", static_cast<int64_t>(report->fault_fires)));
-  fields.push_back(JsonField::Integer(
-      "faulted_iterations",
-      static_cast<int64_t>(report->faulted_iterations)));
-  fields.push_back(JsonField::Integer(
-      "worker_respawns", static_cast<int64_t>(report->worker_respawns)));
-  fields.push_back(JsonField::Integer(
-      "dropped_items", static_cast<int64_t>(report->dropped_items)));
-  fields.push_back(JsonField::Integer(
-      "io_round_trips", static_cast<int64_t>(report->io_round_trips)));
-  fields.push_back(JsonField::Integer(
-      "io_faults", static_cast<int64_t>(report->io_faults)));
-  if (*server || *restart) {
-    fields.push_back(JsonField::Integer(
-        "server_requests", static_cast<int64_t>(report->server_requests)));
-    fields.push_back(JsonField::Integer(
-        "server_severs", static_cast<int64_t>(report->server_severs)));
-    fields.push_back(JsonField::Integer(
-        "stale_serves", static_cast<int64_t>(report->stale_serves)));
-  }
-  if (*restart) {
-    fields.push_back(JsonField::Integer(
-        "server_restarts", static_cast<int64_t>(report->server_restarts)));
-    fields.push_back(JsonField::Integer(
-        "crash_kills", static_cast<int64_t>(report->crash_kills)));
-    fields.push_back(JsonField::Integer(
-        "recoveries", static_cast<int64_t>(report->recoveries)));
-    fields.push_back(JsonField::Integer(
-        "identity_checks", static_cast<int64_t>(report->identity_checks)));
-  }
-  if (*tree) {
-    fields.push_back(JsonField::Integer(
-        "deltas_shipped", static_cast<int64_t>(report->deltas_shipped)));
-    fields.push_back(JsonField::Integer(
-        "delta_dedups", static_cast<int64_t>(report->delta_dedups)));
-    fields.push_back(JsonField::Integer(
-        "severed_links", static_cast<int64_t>(report->severed_links)));
-    fields.push_back(JsonField::Integer(
-        "nodes_lost", static_cast<int64_t>(report->nodes_lost)));
-    fields.push_back(JsonField::Integer(
-        "identity_checks", static_cast<int64_t>(report->identity_checks)));
-  }
   const std::string json_path = flags.GetString("json", "");
   if (!json_path.empty()) {
     const Status s = WriteJsonReport(json_path, "chaos", fields);
