@@ -44,6 +44,13 @@ constexpr uint64_t kProgramSalt = 0xC4A05C4A05ULL;
 constexpr uint64_t kScheduleSalt = 0x5C4EDC4EDULL;
 constexpr uint64_t kMix = 0x9E3779B97F4A7C15ULL;
 
+/// What one iteration ended as.
+enum class ChaosOutcome : uint8_t {
+  kVerified,         ///< sketch passed its guarantee check
+  kCleanError,       ///< a Status surfaced (the acceptable failure mode)
+  kGuaranteeFailure, ///< sketch exists but violates its bounds — a bug
+};
+
 /// One iteration as the engine hands it to a campaign: what the engine
 /// derived for it, and the verdict and counters the campaign writes back.
 /// A non-OK Status from the campaign is a harness error, not a verdict.
@@ -521,10 +528,14 @@ Status RunServerIteration(Iteration* it) {
 
   // Connect only fails if the listener is gone, which no schedule here
   // does on purpose: that IS a dead server.
-  ServerDriver driver(
-      it, {[&](bool) { return SfqClient::Connect(server_options.socket_path); },
-           {{"shed", OverflowPolicy::kShed}, {"sample", OverflowPolicy::kSample}},
-           /*chunk_items=*/1024, /*query_every=*/8});
+  const auto reconnect = [&](bool) {
+    return SfqClient::Connect(server_options.socket_path);
+  };
+  ServerDriver driver(it, {reconnect,
+                           {{"shed", OverflowPolicy::kShed},
+                            {"sample", OverflowPolicy::kSample}},
+                           /*chunk_items=*/1024,
+                           /*query_every=*/8});
   std::string ledger;
   {
     ArmedSchedule armed(it);

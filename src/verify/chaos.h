@@ -100,13 +100,6 @@ struct ChaosOptions {
   std::string server_binary;
 };
 
-/// What one iteration ended as.
-enum class ChaosOutcome : uint8_t {
-  kVerified,         ///< sketch passed its guarantee check
-  kCleanError,       ///< a Status surfaced (the acceptable failure mode)
-  kGuaranteeFailure, ///< sketch exists but violates its bounds — a bug
-};
-
 /// A failed iteration, kept for reproduction.
 struct ChaosFailure {
   uint64_t index = 0;
