@@ -352,10 +352,11 @@ class ServerDriver {
   }
 
   /// Per tenant: offered − rejected == base_ingested + items_ingested +
-  /// dropped (an in-process tenant recovered nothing and reports no
-  /// base_ingested), acks never exceed offers (write faults make acks an
-  /// undercount, and every campaign's fsync policy survives a process
-  /// kill), and offers never exceed the stream (no duplicated replay).
+  /// dropped (a durable tenant must report base_ingested; an in-process
+  /// one recovered nothing and reports none), acks never exceed offers
+  /// (write faults make acks an undercount, and every campaign's fsync
+  /// policy survives a process kill), and offers never exceed the stream
+  /// (no duplicated replay).
   std::string CheckLedger(const std::string& json, size_t stream_size) {
     for (const Tenant& t : tenants_) {
       const auto field = [&](const char* name) {
@@ -365,10 +366,12 @@ class ServerDriver {
       const int64_t rejected = field("rejected_items");
       const int64_t ingested = field("items_ingested");
       const int64_t dropped = field("dropped_items");
-      const int64_t base = std::max<int64_t>(0, field("base_ingested"));
-      if (offered < 0 || rejected < 0 || ingested < 0 || dropped < 0) {
+      const int64_t reported_base = field("base_ingested");
+      if (offered < 0 || rejected < 0 || ingested < 0 || dropped < 0 ||
+          (field("durable") >= 0 && reported_base < 0)) {
         return "tenant " + t.name + " missing from statsz: " + json;
       }
+      const int64_t base = std::max<int64_t>(0, reported_base);
       it_->counts.dropped_items += static_cast<uint64_t>(dropped);
       it_->counts.worker_respawns +=
           static_cast<uint64_t>(std::max<int64_t>(0, field("worker_respawns")));
@@ -404,7 +407,14 @@ class ServerDriver {
                           const FuzzProgram& bounds, size_t lemma_width) {
     for (size_t i = 0; i < tenants_.size(); ++i) {
       Tenant& t = tenants_[i];
-      if (std::string why = Query(t, 10); !why.empty()) return why;
+      // A sever is asked again on a new connection; any other error, or
+      // no answer within Retry's tries, fails.
+      uint64_t epoch = 0;
+      std::string why = Retry(i, "sealed query", [&](SfqClient& client) {
+        return client.TopK(t.name, 10, &epoch).status();
+      });
+      if (why.empty()) why = CheckEpoch(t, epoch);
+      if (!why.empty()) return why;
       const bool loss_free =
           TenantJsonField(ledger, t.name, "offered_items") ==
               static_cast<int64_t>(stream.size()) &&
@@ -414,7 +424,7 @@ class ServerDriver {
       // The seal is durable, so an export severed (or crashed) after it is
       // re-asked of the recovered server.
       Result<CountSketch> exported = Status::IoError("never sent");
-      std::string why = Retry(i, "export", [&](SfqClient& client) {
+      why = Retry(i, "export", [&](SfqClient& client) {
         exported = client.Export(t.name);
         return exported.status();
       });
@@ -442,11 +452,13 @@ class ServerDriver {
       const Status status = request(*t.client);
       if (status.ok()) return "";
       if (!IsSever(status)) {
-        return std::string(what) + " failed: " + status.ToString();
+        return std::string(what) + " failed on " + t.name + ": " +
+               status.ToString();
       }
       if (std::string why = Sever(t, what); !why.empty()) return why;
     }
-    return std::string(what) + " never succeeded through the faults";
+    return std::string(what) + " on " + t.name +
+           " never succeeded through the faults";
   }
 
  private:
@@ -477,12 +489,17 @@ class ServerDriver {
     return Reconnect(t, when);
   }
 
-  /// A top-k read; epochs never move backwards within one server process.
+  /// A top-k read that may be severed.
   std::string Query(Tenant& t, uint64_t k) {
     uint64_t epoch = 0;
     const auto top = t.client->TopK(t.name, k, &epoch);
     if (IsSever(top.status())) return Sever(t, "query");
     if (!top.ok()) return "query failed: " + top.status().ToString();
+    return CheckEpoch(t, epoch);
+  }
+
+  /// Epochs never move backwards within one server process.
+  std::string CheckEpoch(Tenant& t, uint64_t epoch) {
     const uint64_t process = it_->counts.server_restarts;
     if (process == t.process && epoch < t.last_epoch) {
       return "epoch went backwards on " + t.name;
