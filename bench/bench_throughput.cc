@@ -2,8 +2,9 @@
 //
 // Streams a pregenerated Zipf(1) trace through each algorithm at a common
 // ~64 KiB budget and reports items/second; also measures Count-Sketch
-// point-query latency vs depth, the BatchAdd fast path, and parallel
-// sharded ingestion (src/concurrent/) across thread counts.
+// point-query latency vs depth, the batched read path (EstimateBatch,
+// RankCandidates), the BatchAdd fast path, and parallel sharded ingestion
+// (src/concurrent/) across thread counts.
 //
 // Expected shape: counter algorithms (Misra-Gries amortized O(1),
 // Space-Saving O(log c)) and plain sampling lead; sketches pay t hashed
@@ -117,7 +118,9 @@ void BM_CountSketchAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_CountSketchAdd)->Arg(1)->Arg(3)->Arg(5)->Arg(8)->Arg(16);
 
-// Point-query cost vs depth: dominated by the median selection.
+// Point-query cost vs depth, one id at a time: a scalar hash per row, then
+// the branch-free median network (the nth_element it replaced mispredicted
+// its way to most of the cost).
 void BM_CountSketchEstimate(benchmark::State& state) {
   CountSketchParams p;
   p.depth = static_cast<size_t>(state.range(0));
@@ -135,6 +138,62 @@ void BM_CountSketchEstimate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CountSketchEstimate)->Arg(1)->Arg(3)->Arg(5)->Arg(8)->Arg(16);
+
+// The read path's shape in the merge tree: the 5 x 2048 Carter-Wegman
+// sketch a tree-lowskew node holds, loaded with the shared stream, and
+// 4096 distinct ids to score.
+struct ReadPathFixture {
+  CountSketch sketch;
+  std::vector<ItemId> ids;
+};
+
+const ReadPathFixture& SharedReadPath() {
+  static const ReadPathFixture* fixture = [] {
+    CountSketchParams p;
+    p.depth = 5;
+    p.width = 2048;
+    p.seed = 3;
+    auto sketch = CountSketch::Make(p);
+    SFQ_CHECK_OK(sketch.status());
+    const Workload& w = SharedWorkload();
+    sketch->BatchAdd(w.stream);
+    std::vector<ItemId> ids(w.stream.begin(), w.stream.end());
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    SFQ_CHECK_GE(ids.size(), size_t{4096});
+    ids.resize(4096);
+    return new ReadPathFixture{std::move(*sketch), std::move(ids)};
+  }();
+  return *fixture;
+}
+
+// Batched point queries: one hashing pass per row and block, one median
+// network per block. Items/s counts ids estimated.
+void BM_CountSketchEstimateBatch(benchmark::State& state) {
+  const ReadPathFixture& f = SharedReadPath();
+  std::vector<Count> out(f.ids.size());
+  for (auto _ : state) {
+    f.sketch.EstimateBatch(f.ids, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(f.ids.size()));
+}
+BENCHMARK(BM_CountSketchEstimateBatch);
+
+// A root top-100 over 4096 candidates: batch estimates, selection to k,
+// then a sort of the k kept. Items/s counts candidates ranked.
+void BM_RankCandidates(benchmark::State& state) {
+  const ReadPathFixture& f = SharedReadPath();
+  for (auto _ : state) {
+    std::vector<ItemCount> top = RankCandidates(f.ids, f.sketch, 100, false);
+    benchmark::DoNotOptimize(top.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(f.ids.size()));
+}
+BENCHMARK(BM_RankCandidates);
 
 // Merge cost: linear in t*b, the distributed-aggregation primitive.
 void BM_CountSketchMerge(benchmark::State& state) {

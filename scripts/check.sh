@@ -66,7 +66,7 @@ if [[ "$BENCH" -eq 1 ]]; then
   merge_out="$(mktemp /tmp/sfq_bench_merge.XXXXXX.json)"
   trap 'rm -f "$out" "$serve_out" "$merge_out"' EXIT
   build/bench/bench_throughput \
-    --benchmark_filter='BatchAddBackend|BM_Update|BM_SpaceSavingBatchAdd' \
+    --benchmark_filter='BatchAddBackend|BM_Update|BM_SpaceSavingBatchAdd|BM_CountSketchEstimate/5|BM_CountSketchEstimateBatch|BM_RankCandidates' \
     --benchmark_min_time=0.1 \
     --benchmark_repetitions=5 \
     --json "$out"

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <string>
 
 #include "hash/random.h"
+#include "util/bit_util.h"
 #include "util/bytes.h"
 #include "util/logging.h"
 
@@ -162,37 +164,171 @@ CountSketch::EstimateInterval CountSketch::EstimateWithSpread(
   return out;
 }
 
-Count CountSketch::Estimate(ItemId item) const noexcept {
-  // Row estimates live on the stack for the common shallow depths; deep
-  // sketches fall back to the heap-allocating path.
-  constexpr size_t kStackRows = 64;
-  Count stack_est[kStackRows];
-  std::vector<Count> heap_est;
-  Count* est;
-  if (depth_ <= kStackRows) {
-    est = stack_est;
-  } else {
-    heap_est.resize(depth_);
-    est = heap_est.data();
+namespace {
+
+// Row estimates live on the stack up to this depth. Deeper sketches (Make
+// allows 2^20 rows) select on a heap copy instead: the O(t^2) network
+// below is for shallow sketches only.
+constexpr size_t kStackRows = 64;
+
+// Ids per EstimateBatch block. The rows x block gather buffer holds
+// kStackRows * kLanes counters (16 KiB).
+constexpr size_t kLanes = 32;
+static_assert(kLanes % batch_hash::kBlock == 0);
+
+// Puts the smaller of a[j], b[j] in a[j] and the larger in b[j], for every
+// lane. The swap goes through an XOR mask because std::min/std::max on
+// int64_t compile to a branch here, and on row estimates that branch
+// mispredicts about half the time.
+// sfq-hot-path
+inline void CompareExchange(Count* a, Count* b, size_t lanes) noexcept {
+  for (size_t j = 0; j < lanes; ++j) {
+    const Count x = a[j];
+    const Count y = b[j];
+    const Count swap = (x ^ y) & -static_cast<Count>(x > y);
+    a[j] = x ^ swap;
+    b[j] = y ^ swap;
   }
+}
+
+// (lo + hi) / 2 rounded toward zero, for lo <= hi, with no intermediate
+// overflow: the floor of the average, plus one when the sum is odd and
+// negative.
+// sfq-hot-path
+inline Count MidpointTowardZero(Count lo, Count hi) noexcept {
+  const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  const Count floor =
+      static_cast<Count>(static_cast<uint64_t>(lo) + (span >> 1));
+  return floor +
+         static_cast<Count>(span & 1 & static_cast<uint64_t>(floor < 0));
+}
+
+// Reduces a depth x lanes block of row estimates (row i of lane j at
+// est[i * kStride + j]) to one estimate per lane, sorting each lane's
+// column in place. The median is an odd-even transposition network: depth
+// rounds of compare-exchanges between neighbouring rows, each over every
+// lane at once, with no data-dependent branch. Even depths average the two
+// middle rows, rounding toward zero, so estimates stay symmetric under
+// negation. The mean sums in 128 bits and rounds toward zero.
+template <size_t kStride>
+// sfq-hot-path
+inline void CombineRows(Count* est, size_t depth, size_t lanes,
+                        Estimator estimator, Count* out) noexcept {
+  if (estimator == Estimator::kMean) {
+    for (size_t j = 0; j < lanes; ++j) {
+      int128_t sum = 0;
+      for (size_t i = 0; i < depth; ++i) sum += est[i * kStride + j];
+      out[j] = static_cast<Count>(sum / static_cast<int128_t>(depth));
+    }
+    return;
+  }
+  for (size_t round = 0; round < depth; ++round) {
+    for (size_t i = round & 1; i + 1 < depth; i += 2) {
+      CompareExchange(est + i * kStride, est + (i + 1) * kStride, lanes);
+    }
+  }
+  const Count* upper = est + (depth / 2) * kStride;
+  if (depth % 2 == 1) {
+    std::copy(upper, upper + lanes, out);
+    return;
+  }
+  const Count* lower = upper - kStride;
+  for (size_t j = 0; j < lanes; ++j) {
+    out[j] = MidpointTowardZero(lower[j], upper[j]);
+  }
+}
+
+}  // namespace
+
+Count CountSketch::EstimateDeep(ItemId item, const CountSketch* minus) const {
+  std::vector<Count> est(depth_);
+  for (size_t i = 0; i < depth_; ++i) {
+    const BucketSign bs = Locate(i, item);
+    const int64_t c = counters_.At(i, bs.bucket);
+    est[i] = (minus == nullptr ? c : c - minus->counters_.At(i, bs.bucket)) *
+             bs.sign;
+  }
+  Count out;
+  if (params_.estimator == Estimator::kMean) {
+    CombineRows<1>(est.data(), depth_, 1, Estimator::kMean, &out);
+    return out;
+  }
+  const size_t mid = depth_ / 2;
+  std::nth_element(est.begin(), est.begin() + mid, est.end());
+  if (depth_ % 2 == 1) return est[mid];
+  return MidpointTowardZero(*std::max_element(est.begin(), est.begin() + mid),
+                            est[mid]);
+}
+
+Count CountSketch::Estimate(ItemId item) const noexcept {
+  if (depth_ > kStackRows) return EstimateDeep(item, nullptr);
+  Count est[kStackRows];
   for (size_t i = 0; i < depth_; ++i) {
     const BucketSign bs = Locate(i, item);
     est[i] = counters_.At(i, bs.bucket) * bs.sign;
   }
-  if (params_.estimator == Estimator::kMean) {
-    // Mean ablation: average rounded toward zero.
-    Count sum = 0;
-    for (size_t i = 0; i < depth_; ++i) sum += est[i];
-    return sum / static_cast<Count>(depth_);
+  Count out;
+  CombineRows<1>(est, depth_, 1, params_.estimator, &out);
+  return out;
+}
+
+template <typename HashT>
+// sfq-hot-path
+void CountSketch::EstimateRows(const std::vector<HashT>& bucket,
+                               const std::vector<HashT>& sign,
+                               std::span<const ItemId> ids,
+                               const CountSketch* minus,
+                               std::span<Count> out) const noexcept {
+  uint64_t bkt[kLanes];
+  int64_t sgn[kLanes];
+  Count est[kStackRows * kLanes];
+  for (size_t pos = 0; pos < ids.size(); pos += kLanes) {
+    const size_t take = std::min(kLanes, ids.size() - pos);
+    const std::span<const uint64_t> block(ids.data() + pos, take);
+    for (size_t i = 0; i < depth_; ++i) {
+      batch_hash::BucketsAndSigns(bucket[i], sign[i], block, width_, bkt, sgn);
+      const int64_t* row = counters_.Row(i);
+      Count* dst = est + i * kLanes;
+      if (minus == nullptr) {
+        for (size_t j = 0; j < take; ++j) dst[j] = row[bkt[j]] * sgn[j];
+      } else {
+        const int64_t* sub = minus->counters_.Row(i);
+        for (size_t j = 0; j < take; ++j) {
+          dst[j] = (row[bkt[j]] - sub[bkt[j]]) * sgn[j];
+        }
+      }
+    }
+    CombineRows<kLanes>(est, depth_, take, params_.estimator,
+                        out.data() + pos);
   }
-  // Median: middle order statistic; even depths average the two middles
-  // (rounding toward zero) so estimates stay symmetric under negation.
-  const size_t mid = depth_ / 2;
-  std::nth_element(est, est + mid, est + depth_);
-  if (depth_ % 2 == 1) return est[mid];
-  const Count hi = est[mid];
-  const Count lo = *std::max_element(est, est + mid);
-  return (lo + hi) / 2;
+}
+
+void CountSketch::EstimateDifferenceBatch(std::span<const ItemId> ids,
+                                          const CountSketch* minus,
+                                          std::span<Count> out) const noexcept {
+  SFQ_DCHECK(out.size() == ids.size());
+  if (depth_ > kStackRows) {
+    for (size_t j = 0; j < ids.size(); ++j) {
+      out[j] = EstimateDeep(ids[j], minus);
+    }
+    return;
+  }
+  switch (params_.family) {
+    case HashFamily::kCarterWegman:
+      EstimateRows(cw_bucket_, cw_sign_, ids, minus, out);
+      break;
+    case HashFamily::kMultiplyShift:
+      EstimateRows(ms_bucket_, ms_sign_, ids, minus, out);
+      break;
+    case HashFamily::kTabulation:
+      EstimateRows(tab_bucket_, tab_sign_, ids, minus, out);
+      break;
+  }
+}
+
+void CountSketch::EstimateBatch(std::span<const ItemId> ids,
+                                std::span<Count> out) const noexcept {
+  EstimateDifferenceBatch(ids, nullptr, out);
 }
 
 bool CountSketch::CompatibleWith(const CountSketch& other) const {
@@ -201,22 +337,24 @@ bool CountSketch::CompatibleWith(const CountSketch& other) const {
          params_.family == other.params_.family;
 }
 
+namespace {
+
+Status IncompatibleSketches(const char* op) {
+  return Status::InvalidArgument(std::string("CountSketch::") + op +
+                                 ": incompatible sketches (parameters or "
+                                 "seed differ)");
+}
+
+}  // namespace
+
 Status CountSketch::Merge(const CountSketch& other) {
-  if (!CompatibleWith(other)) {
-    return Status::InvalidArgument(
-        "CountSketch::Merge: incompatible sketches (parameters or seed "
-        "differ)");
-  }
+  if (!CompatibleWith(other)) return IncompatibleSketches("Merge");
   counters_.AddAll(other.counters_);
   return Status::OK();
 }
 
 Status CountSketch::Subtract(const CountSketch& other) {
-  if (!CompatibleWith(other)) {
-    return Status::InvalidArgument(
-        "CountSketch::Subtract: incompatible sketches (parameters or seed "
-        "differ)");
-  }
+  if (!CompatibleWith(other)) return IncompatibleSketches("Subtract");
   counters_.SubtractAll(other.counters_);
   return Status::OK();
 }
@@ -296,29 +434,49 @@ Result<CountSketch> CountSketch::Deserialize(std::string_view data) {
   return sketch;
 }
 
+namespace {
+
+// The best k of ids[j] scored counts[j], in rank order: count descending
+// (|count| when `absolute`), ties toward the smaller id. Selection to k
+// first, so only the k kept are sorted.
+std::vector<ItemCount> KeepTop(std::span<const ItemId> ids,
+                               const std::vector<Count>& counts, size_t k,
+                               bool absolute) {
+  std::vector<ItemCount> scored(ids.size());
+  for (size_t j = 0; j < ids.size(); ++j) {
+    scored[j] = ItemCount{ids[j], counts[j]};
+  }
+  const auto before = [absolute](const ItemCount& a, const ItemCount& b) {
+    const int64_t ka = absolute ? std::llabs(a.count) : a.count;
+    const int64_t kb = absolute ? std::llabs(b.count) : b.count;
+    if (ka != kb) return ka > kb;
+    return a.item < b.item;
+  };
+  if (scored.size() > k) {
+    std::nth_element(scored.begin(), scored.begin() + k, scored.end(), before);
+    scored.resize(k);
+  }
+  std::sort(scored.begin(), scored.end(), before);
+  return scored;
+}
+
+}  // namespace
+
 std::vector<ItemCount> RankCandidates(std::span<const ItemId> ids,
                                       const CountSketch& sketch, size_t k,
                                       bool absolute) {
-  std::vector<ItemCount> out;
-  out.reserve(ids.size());
-  for (ItemId id : ids) out.push_back(ItemCount{id, sketch.Estimate(id)});
-  std::sort(out.begin(), out.end(),
-            [absolute](const ItemCount& a, const ItemCount& b) {
-              const int64_t ka = absolute ? std::llabs(a.count) : a.count;
-              const int64_t kb = absolute ? std::llabs(b.count) : b.count;
-              if (ka != kb) return ka > kb;
-              return a.item < b.item;
-            });
-  if (out.size() > k) out.resize(k);
-  return out;
+  std::vector<Count> counts(ids.size());
+  sketch.EstimateBatch(ids, counts);
+  return KeepTop(ids, counts, k, absolute);
 }
 
 Result<std::vector<ItemCount>> RankChanges(std::span<const ItemId> ids,
                                            const CountSketch& current,
                                            const CountSketch& mark, size_t k) {
-  CountSketch diff = current;
-  STREAMFREQ_RETURN_NOT_OK(diff.Subtract(mark));
-  return RankCandidates(ids, diff, k, /*absolute=*/true);
+  if (!current.CompatibleWith(mark)) return IncompatibleSketches("Subtract");
+  std::vector<Count> counts(ids.size());
+  current.EstimateDifferenceBatch(ids, &mark, counts);
+  return KeepTop(ids, counts, k, /*absolute=*/true);
 }
 
 }  // namespace streamfreq

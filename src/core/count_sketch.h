@@ -89,8 +89,19 @@ class CountSketch {
                       Count weight = 1) noexcept;
 
   /// ESTIMATE(C, q): the median (or mean) over rows of C[i][h_i(q)]*s_i(q).
-  /// Mean estimates round toward zero.
+  /// Mean estimates, and the average of the two middle rows at even
+  /// depths, round toward zero. The reference for EstimateBatch.
   Count Estimate(ItemId item) const noexcept;
+
+  /// Batch ESTIMATE: out[j] = Estimate(ids[j]) for every j, bit for bit.
+  /// `out.size()` must equal `ids.size()`; an empty batch does nothing.
+  /// Per block of ids, each row's buckets and signs come from one
+  /// batch_hash::BucketsAndSigns pass, and the medians of the whole block
+  /// come from one branch-free compare-exchange network, the routine
+  /// Estimate itself uses. Depths above 64 take Estimate's selection path
+  /// one id at a time. Never allocates for depths up to 64.
+  void EstimateBatch(std::span<const ItemId> ids,
+                     std::span<Count> out) const noexcept;
 
   /// The per-row estimates C[i][h_i(q)]*s_i(q), in row order. Exposed for
   /// tests and the variance experiments (E2/E3).
@@ -164,6 +175,27 @@ class CountSketch {
   void BatchAddDispatch(std::span<const ItemId> items, Count weight,
                         batch_hash::Backend backend) noexcept;
 
+  /// EstimateBatch over (this − minus) when `minus` is non-null: the
+  /// row estimates of a difference sketch, read without building it.
+  /// `minus` must be compatible.
+  void EstimateDifferenceBatch(std::span<const ItemId> ids,
+                               const CountSketch* minus,
+                               std::span<Count> out) const noexcept;
+
+  /// Estimate (of this − minus, when `minus` is non-null) for sketches too
+  /// deep for the stack: selection over a heap copy of the row estimates.
+  Count EstimateDeep(ItemId item, const CountSketch* minus) const;
+
+  template <typename HashT>
+  void EstimateRows(const std::vector<HashT>& bucket,
+                    const std::vector<HashT>& sign,
+                    std::span<const ItemId> ids, const CountSketch* minus,
+                    std::span<Count> out) const noexcept;
+
+  friend Result<std::vector<ItemCount>> RankChanges(
+      std::span<const ItemId> ids, const CountSketch& current,
+      const CountSketch& mark, size_t k);
+
   CountSketchParams params_;
   size_t depth_;
   size_t width_;
@@ -180,13 +212,16 @@ class CountSketch {
 
 /// Scores each of `ids` on `sketch` and returns the best `k`, ordered by
 /// estimate descending (by |estimate| when `absolute`, for max-change on a
-/// difference sketch), ties toward the smaller id.
+/// difference sketch), ties toward the smaller id. One EstimateBatch call
+/// scores every id; a selection to k then sorts only the k kept.
 std::vector<ItemCount> RankCandidates(std::span<const ItemId> ids,
                                       const CountSketch& sketch, size_t k,
                                       bool absolute);
 
-/// The paper's max-change step through the group structure: subtracts
-/// `mark` from a copy of `current` and ranks `ids` by |difference|.
+/// The paper's max-change step through the group structure: ranks `ids`
+/// by |estimate| on the difference sketch `current − mark`. By linearity
+/// that estimate is the median of (C_cur − C_mark)[i][h_i(q)]·s_i(q), so
+/// it is read at each id's buckets and no difference sketch is built.
 /// Incompatible sketches fail as Subtract does.
 Result<std::vector<ItemCount>> RankChanges(std::span<const ItemId> ids,
                                            const CountSketch& current,

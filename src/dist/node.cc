@@ -1,6 +1,8 @@
 #include "dist/node.h"
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 #include <utility>
 
 namespace streamfreq {
@@ -63,6 +65,11 @@ Result<uint64_t> FleetNode::Apply(const DeltaPayload& delta, bool* applied) {
     if (cur != covered_.end() && c.count < cur->second) {
       return Status::Corruption("coverage watermark moved backwards");
     }
+  }
+  if (std::adjacent_find(delta.candidates.begin(), delta.candidates.end(),
+                         std::greater_equal<ItemId>()) !=
+      delta.candidates.end()) {
+    return Status::Corruption("candidate list is not strictly increasing");
   }
   STREAMFREQ_ASSIGN_OR_RETURN(CountSketch delta_sketch,
                               CountSketch::Deserialize(delta.sketch_blob));
@@ -132,15 +139,22 @@ std::vector<CoverageEntry> FleetNode::Coverage() const {
 }
 
 std::vector<ItemId> FleetNode::CandidateUnion() const {
+  // Only the tracker's own entries need sorting: every child's list is
+  // strictly increasing (Apply refuses anything else), so the rest is a
+  // merge.
   std::vector<ItemId> ids;
   if (tracker_.has_value()) {
     for (const SpaceSavingEntry& e : tracker_->Entries()) ids.push_back(e.item);
+    std::sort(ids.begin(), ids.end());
   }
+  std::vector<ItemId> merged;
   for (const auto& [id, child] : children_) {
-    ids.insert(ids.end(), child.candidates.begin(), child.candidates.end());
+    merged.clear();
+    merged.reserve(ids.size() + child.candidates.size());
+    std::set_union(ids.begin(), ids.end(), child.candidates.begin(),
+                   child.candidates.end(), std::back_inserter(merged));
+    ids.swap(merged);
   }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   return ids;
 }
 

@@ -65,8 +65,9 @@ class FleetNode {
   /// returns the cumulative ack for that child. `*applied` says which.
   /// Outside input is checked before anything moves: a sender that is not
   /// a child, a seqno gap, coverage entries out of leaf order, a coverage
-  /// watermark that moves backwards, or a sketch that does not decode or
-  /// match is Corruption, and the node is left as it was.
+  /// watermark that moves backwards, a candidate list that is not strictly
+  /// increasing, or a sketch that does not decode or match is Corruption,
+  /// and the node is left as it was.
   Result<uint64_t> Apply(const DeltaPayload& delta, bool* applied);
 
   /// The last seqno applied from `child` (its cumulative ack).
@@ -111,7 +112,8 @@ class FleetNode {
   std::vector<CoverageEntry> Coverage() const;
 
   /// Every item the tracker monitors plus every child's latest candidates,
-  /// sorted and deduped.
+  /// strictly increasing: the tracker's entries are sorted and merged with
+  /// the children's lists, which arrive sorted.
   std::vector<ItemId> CandidateUnion() const;
 
   /// Top-k of the candidate union scored on this node's sketch.

@@ -6,9 +6,10 @@
 
 namespace streamfreq {
 
-/// 128-bit unsigned integer (GCC/Clang builtin; __extension__ silences the
-/// pedantic warning about the non-ISO type).
+/// 128-bit integers (GCC/Clang builtins; __extension__ silences the
+/// pedantic warning about the non-ISO types).
 __extension__ using uint128_t = unsigned __int128;
+__extension__ using int128_t = __int128;
 
 namespace bit_util {
 

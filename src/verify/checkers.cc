@@ -233,6 +233,29 @@ void CompareSketchProbes(const char* algorithm, Mutation mutation,
   }
 }
 
+/// Width of the collision-heavy sketch the count-sketch checker compares
+/// EstimateBatch with Estimate on.
+constexpr size_t kNarrowWidth = 16;
+
+/// The batched read path must answer the query set exactly as Estimate
+/// does, one id at a time.
+void CompareBatchEstimates(const char* algorithm, const CountSketch& sketch,
+                           const std::vector<ItemId>& probes,
+                           std::vector<Violation>* out) {
+  std::vector<Count> batch(probes.size());
+  sketch.EstimateBatch(probes, batch);
+  for (size_t j = 0; j < probes.size(); ++j) {
+    const Count want = sketch.Estimate(probes[j]);
+    if (batch[j] != want) {
+      out->push_back(MakeViolation(algorithm, "batch-estimate-equivalence",
+                                   "EstimateBatch disagrees with Estimate",
+                                   probes[j], static_cast<double>(batch[j]),
+                                   static_cast<double>(want)));
+      if (out->size() >= 8) return;  // cap the noise; one is already fatal
+    }
+  }
+}
+
 std::string DescribeCount(const char* what, Count est, Count truth) {
   std::ostringstream os;
   os << what << ": estimate " << est << " vs exact " << truth;
@@ -240,7 +263,8 @@ std::string DescribeCount(const char* what, Count est, Count truth) {
 }
 
 // ---------------------------------------------------------------------------
-// Count-Sketch: Lemma 4/5 per-item error |est - n_q| <= 8 * gamma.
+// Count-Sketch: Lemma 4/5 per-item error |est - n_q| <= 8 * gamma, and
+// EstimateBatch equal to Estimate on every probe (checked at build).
 // ---------------------------------------------------------------------------
 
 class CountSketchChecker final : public GuaranteeChecker {
@@ -271,6 +295,18 @@ class CountSketchChecker final : public GuaranteeChecker {
           IngestMutated<CountSketch>(make, stream, Mutation::kSequential, 0));
       CompareSketchProbes(Name(), mutation, sketch, reference, setup.probes,
                           &out.equivalence_violations);
+    }
+    // At Lemma 5 widths most probes collide with nothing, so every row
+    // agrees and a wrong median in the batch path would go unseen; a
+    // narrow sketch of the same stream makes the rows disagree.
+    CountSketchParams narrow_params = plan.params;
+    narrow_params.width = kNarrowWidth;
+    STREAMFREQ_ASSIGN_OR_RETURN(CountSketch narrow,
+                                CountSketch::Make(narrow_params));
+    narrow.BatchAdd(stream);
+    for (const CountSketch* s : {&sketch, &narrow}) {
+      CompareBatchEstimates(Name(), *s, setup.probes,
+                            &out.equivalence_violations);
     }
     out.summary = std::make_unique<RawSketchSummary<CountSketch>>(
         std::move(sketch), "CountSketch(verify)");
@@ -789,7 +825,9 @@ std::vector<Violation> CheckCountSketchAgainstOracle(const CountSketch& sketch,
   context.sketch_width = sketch.width();
   context.lemma_width = lemma_width;
   const RawSketchSummary<CountSketch> summary(sketch, "CountSketch(chaos)");
-  return checker.Check(summary, oracle, setup, context);
+  std::vector<Violation> out = checker.Check(summary, oracle, setup, context);
+  CompareBatchEstimates(checker.Name(), sketch, setup.probes, &out);
+  return out;
 }
 
 const std::vector<std::unique_ptr<GuaranteeChecker>>& DefaultCheckers() {

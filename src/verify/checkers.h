@@ -125,8 +125,9 @@ struct VerifySketchPlan {
 Result<VerifySketchPlan> PlanVerifyCountSketch(const VerifySetup& setup);
 
 /// Runs the count-sketch guarantee check (Lemma 4/5 per-item error with the
-/// Chernoff allowance) against a sketch built elsewhere — the chaos
-/// harness's path for sketches that survived fault injection. `oracle` and
+/// Chernoff allowance, and EstimateBatch equal to Estimate on every probe)
+/// against a sketch built elsewhere — the chaos harness's path for
+/// sketches that survived fault injection. `oracle` and
 /// `setup` must describe the *effective* stream (what actually reached the
 /// sketch), so shed mass widens the bounds by exactly the dropped amount.
 std::vector<Violation> CheckCountSketchAgainstOracle(const CountSketch& sketch,

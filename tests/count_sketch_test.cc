@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <span>
 #include <vector>
 
+#include "hash/random.h"
 #include "stream/exact_counter.h"
 #include "stream/zipf.h"
 
@@ -335,6 +339,116 @@ TEST(CountSketchTest, RankCandidatesOrdersByEstimateThenId) {
   EXPECT_EQ(moved, want_moved);
 
   EXPECT_EQ(RankCandidates(ids, *s, 10, false).size(), ids.size());
+}
+
+// The ranker before selection replaced sorting: every id scored by
+// Estimate, all of them sorted, the first k kept.
+std::vector<ItemCount> FullSortRank(std::span<const ItemId> ids,
+                                    const CountSketch& sketch, size_t k,
+                                    bool absolute) {
+  std::vector<ItemCount> out;
+  for (ItemId id : ids) out.push_back(ItemCount{id, sketch.Estimate(id)});
+  std::sort(out.begin(), out.end(),
+            [absolute](const ItemCount& a, const ItemCount& b) {
+              const int64_t ka = absolute ? std::llabs(a.count) : a.count;
+              const int64_t kb = absolute ? std::llabs(b.count) : b.count;
+              if (ka != kb) return ka > kb;
+              return a.item < b.item;
+            });
+  if (out.size() > k) out.resize(k);
+  return out;
+}
+
+// Signed weights from a small set on a narrow sketch: many ids share a
+// count (ties broken by id) and counts of both signs share a magnitude.
+TEST(CountSketchTest, RankCandidatesMatchesAFullSort) {
+  CountSketchParams p = SmallParams();
+  p.width = 16;
+  auto s = CountSketch::Make(p);
+  ASSERT_TRUE(s.ok());
+  SplitMix64 rng(77);
+  std::vector<ItemId> ids;
+  for (ItemId id = 1; id <= 300; ++id) {
+    ids.push_back(id * 7919);
+    s->Add(id * 7919, static_cast<Count>(rng.Next() % 7) - 3);
+  }
+  std::vector<Count> counts(ids.size());
+  s->EstimateBatch(ids, counts);
+  std::sort(counts.begin(), counts.end());
+  ASSERT_NE(std::adjacent_find(counts.begin(), counts.end()), counts.end())
+      << "want tied counts";
+  for (size_t k : {size_t{0}, size_t{1}, size_t{10}, size_t{100},
+                   ids.size() - 1, ids.size(), ids.size() + 5}) {
+    for (bool absolute : {false, true}) {
+      EXPECT_EQ(RankCandidates(ids, *s, k, absolute),
+                FullSortRank(ids, *s, k, absolute))
+          << "k " << k << " absolute " << absolute;
+    }
+  }
+  EXPECT_TRUE(RankCandidates({}, *s, 5, false).empty());
+}
+
+// RankChanges reads (current − mark) at each id's buckets; it must equal
+// ranking on an explicit copy of current with mark subtracted, on every
+// family and on odd and even depths.
+TEST(CountSketchTest, RankChangesMatchesCopySubtractRank) {
+  const HashFamily kFamilies[] = {HashFamily::kCarterWegman,
+                                  HashFamily::kMultiplyShift,
+                                  HashFamily::kTabulation};
+  for (HashFamily family : kFamilies) {
+    for (size_t depth : {4, 5}) {
+      for (uint64_t trial = 0; trial < 4; ++trial) {
+        SCOPED_TRACE(::testing::Message()
+                     << "family " << static_cast<int>(family) << " depth "
+                     << depth << " trial " << trial);
+        CountSketchParams p;
+        p.depth = depth;
+        p.width = 64;
+        p.seed = 100 + trial;
+        p.family = family;
+        auto mark = CountSketch::Make(p);
+        ASSERT_TRUE(mark.ok());
+        SplitMix64 rng(trial * 31 + depth);
+        std::vector<ItemId> ids;
+        for (size_t j = 0; j < 400; ++j) {
+          const ItemId id = rng.Next() % 1000;
+          mark->Add(id, static_cast<Count>(rng.Next() % 5));
+          if (j % 2 == 0) ids.push_back(id);
+        }
+        CountSketch current = *mark;
+        for (size_t j = 0; j < 400; ++j) {
+          const ItemId id = rng.Next() % 1000;
+          current.Add(id, static_cast<Count>(rng.Next() % 9) - 4);
+          if (j % 3 == 0) ids.push_back(id);
+        }
+        std::sort(ids.begin(), ids.end());
+        ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+
+        CountSketch diff = current;
+        ASSERT_TRUE(diff.Subtract(*mark).ok());
+        for (size_t k : {size_t{0}, size_t{20}, ids.size() + 1}) {
+          auto ranked = RankChanges(ids, current, *mark, k);
+          ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
+          EXPECT_EQ(*ranked, FullSortRank(ids, diff, k, /*absolute=*/true))
+              << "k " << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(CountSketchTest, RankChangesRefusesIncompatibleSketches) {
+  CountSketchParams p = SmallParams();
+  auto current = CountSketch::Make(p);
+  p.seed = 43;
+  auto mark = CountSketch::Make(p);
+  ASSERT_TRUE(current.ok() && mark.ok());
+  const std::vector<ItemId> ids = {1, 2, 3};
+  const auto ranked = RankChanges(ids, *current, *mark, 2);
+  CountSketch copy = *current;
+  const Status subtract = copy.Subtract(*mark);
+  EXPECT_TRUE(ranked.status().IsInvalidArgument());
+  EXPECT_EQ(ranked.status().ToString(), subtract.ToString());
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Delta-shipping protocol tests (satellite of the distributed merge tree,
 // docs/DISTRIBUTED.md): the codec's corruption matrix at every truncation
 // boundary, the channel's resend-verbatim/cumulative-ack discipline, the
-// receiver's WAL-style dedup, the fleet node's checks on outside input,
-// and an end-to-end severed-link schedule proving at-most-once accounting
-// through MergeTreeSim.
+// receiver's WAL-style dedup, the fleet node's checks on outside input
+// and its candidate-union rules, and an end-to-end severed-link schedule
+// proving at-most-once accounting through MergeTreeSim.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -319,6 +319,110 @@ TEST(FleetNodeTest, ApplyRejectsACoverageWatermarkMovingBackwards) {
   EXPECT_EQ(root->TotalLedger().ingested, 150u);
   EXPECT_EQ(root->covered().at(1), 150u);
   EXPECT_EQ(SketchBytes(*root), SketchBytes(*leaf));
+}
+
+// An interior node with two leaf children, each child's first delta
+// applied. Leaf a tracks {100..106}, leaf b {103..109}.
+struct CandidateFixture {
+  std::optional<FleetNode> parent, a, b;
+  DeltaPayload from_a, from_b;
+
+  CandidateFixture() {
+    auto topo = BuildBalancedTree(/*workers=*/4, /*fanout=*/2);
+    EXPECT_TRUE(topo.ok());
+    auto zero = CountSketch::Make(SmallParams());
+    EXPECT_TRUE(zero.ok());
+    const uint64_t pid = topo->parent[topo->leaves[0]];
+    EXPECT_NE(pid, 0u) << "want an interior node with an uplink";
+    EXPECT_EQ(topo->children[pid].size(), 2u);
+    parent.emplace(*FleetNode::Make(*topo, pid, *zero, 8));
+    a.emplace(*FleetNode::Make(*topo, topo->children[pid][0], *zero, 8));
+    b.emplace(*FleetNode::Make(*topo, topo->children[pid][1], *zero, 8));
+    from_a = ShipFrom(&*a, 100, 70);
+    from_b = ShipFrom(&*b, 103, 70);
+    bool applied = false;
+    EXPECT_TRUE(parent->Apply(from_a, &applied).ok() && applied);
+    EXPECT_TRUE(parent->Apply(from_b, &applied).ok() && applied);
+  }
+};
+
+// What a node forwards: a leaf its tracker's entries, an interior node
+// the union of its children's latest lists; sorted and unique both ways.
+TEST(FleetNodeTest, ForwardsItsTrackerAndChildrenCandidatesSortedAndUnique) {
+  CandidateFixture f;
+  EXPECT_EQ(f.from_a.candidates,
+            (std::vector<ItemId>{100, 101, 102, 103, 104, 105, 106}));
+  EXPECT_EQ(f.from_a.candidates, f.a->CandidateUnion());
+  const std::vector<ItemId> want = {100, 101, 102, 103, 104,
+                                    105, 106, 107, 108, 109};
+  EXPECT_EQ(f.parent->CandidateUnion(), want);
+  auto up = f.parent->NextUplink(/*final_flag=*/false);
+  ASSERT_TRUE(up.ok() && up->has_value());
+  auto shipped = DecodeDelta(**up);
+  ASSERT_TRUE(shipped.ok());
+  EXPECT_EQ(shipped->candidates, want);
+  // The root ranks exactly that union.
+  EXPECT_EQ(f.parent->ApproxTop(SIZE_MAX).size(), want.size());
+}
+
+// A child's candidate list is a snapshot: a newer one replaces the older
+// one instead of adding to it, and a re-delivered old delta changes
+// nothing.
+TEST(FleetNodeTest, NewerCandidateListReplacesAndRedeliveryDoesNothing) {
+  CandidateFixture f;
+  ASSERT_TRUE(f.a->Acked(1).ok());
+  DeltaPayload second = ShipFrom(&*f.a, 100, 7);
+  ASSERT_EQ(second.seqno, 2u);
+  second.candidates = {5, 9};
+  bool applied = false;
+  ASSERT_TRUE(f.parent->Apply(second, &applied).ok());
+  EXPECT_TRUE(applied);
+  const std::vector<ItemId> want = {5, 9, 103, 104, 105, 106, 107, 108, 109};
+  EXPECT_EQ(f.parent->CandidateUnion(), want);
+
+  const std::string sketch = SketchBytes(*f.parent);
+  const DistLedger ledger = f.parent->TotalLedger();
+  for (const DeltaPayload* again : {&f.from_a, &second, &f.from_b}) {
+    const Result<uint64_t> ack = f.parent->Apply(*again, &applied);
+    ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+    EXPECT_FALSE(applied);
+    EXPECT_EQ(f.parent->CandidateUnion(), want);
+    EXPECT_EQ(SketchBytes(*f.parent), sketch);
+    EXPECT_EQ(f.parent->TotalLedger(), ledger);
+  }
+  EXPECT_EQ(f.parent->delta_dedups(), 3u);
+}
+
+// The merged union relies on every child's list arriving strictly
+// increasing, so Apply refuses an unsorted or duplicated list as
+// Corruption before any of the delta lands.
+TEST(FleetNodeTest, ApplyRejectsACandidateListNotStrictlyIncreasing) {
+  CandidateFixture f;
+  ASSERT_TRUE(f.a->Acked(1).ok());
+  const DeltaPayload second = ShipFrom(&*f.a, 200, 7);
+  const std::vector<ItemId> union_before = f.parent->CandidateUnion();
+  const std::string sketch = SketchBytes(*f.parent);
+  const DistLedger ledger = f.parent->TotalLedger();
+  const auto covered = f.parent->covered();
+  const std::vector<std::vector<ItemId>> bad_lists = {
+      {200, 202, 201}, {200, 201, 201, 202}, {7, 7}, {9, 3}};
+  for (const std::vector<ItemId>& bad : bad_lists) {
+    DeltaPayload tampered = second;
+    tampered.candidates = bad;
+    bool applied = true;
+    const Result<uint64_t> ack = f.parent->Apply(tampered, &applied);
+    EXPECT_TRUE(ack.status().IsCorruption()) << ack.status().ToString();
+    EXPECT_FALSE(applied);
+    EXPECT_EQ(f.parent->CandidateUnion(), union_before);
+    EXPECT_EQ(SketchBytes(*f.parent), sketch);
+    EXPECT_EQ(f.parent->TotalLedger(), ledger);
+    EXPECT_EQ(f.parent->covered(), covered);
+    EXPECT_EQ(f.parent->LastApplied(f.a->id()), 1u);
+  }
+  bool applied = false;
+  ASSERT_TRUE(f.parent->Apply(second, &applied).ok());
+  EXPECT_TRUE(applied);
+  EXPECT_EQ(f.parent->LastApplied(f.a->id()), 2u);
 }
 
 // End-to-end: a planted severed-link + lost-ack schedule. Severs delay

@@ -10,7 +10,9 @@
 //      backend, over random and adversarial keys;
 //   2. sketch level: CountSketch / CountMin counter tables after identical
 //      seeded streams through Add, BatchAddScalar, and BatchAdd;
-//   3. estimate level: every probed estimate identical across paths.
+//   3. estimate level: every probed estimate identical across paths, and
+//      EstimateBatch (one hashing pass per row, a compare-exchange median
+//      network) identical to an Estimate loop and to a sort-based median.
 //
 // Widths are deliberately mixed: powers of two (stride == width, zero
 // padding) and odd widths (padded rows) both must agree, and batch sizes
@@ -19,7 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "core/count_min.h"
@@ -27,6 +32,7 @@
 #include "hash/batch_hash.h"
 #include "hash/pairwise.h"
 #include "hash/random.h"
+#include "util/bit_util.h"
 
 namespace streamfreq {
 namespace {
@@ -299,6 +305,121 @@ TEST(SimdSketchEquivalenceTest, SerializeRoundTripOddWidth) {
     for (size_t j = 0; j < p.width; ++j) {
       ASSERT_EQ(s->CounterAt(i, j), back->CounterAt(i, j))
           << "(" << i << "," << j << ")";
+    }
+  }
+}
+
+// -- estimate level: EstimateBatch ------------------------------------------
+
+// The estimate by definition, independent of both production paths: the
+// row estimates sorted, the middle one (even depths: the two middles
+// averaged toward zero), or the mean toward zero, in 128 bits.
+Count SortedReferenceEstimate(const CountSketch& sketch, ItemId q) {
+  std::vector<Count> rows = sketch.RowEstimates(q);
+  const size_t n = rows.size();
+  if (sketch.params().estimator == Estimator::kMean) {
+    int128_t sum = 0;
+    for (Count r : rows) sum += r;
+    return static_cast<Count>(sum / static_cast<int128_t>(n));
+  }
+  std::sort(rows.begin(), rows.end());
+  if (n % 2 == 1) return rows[n / 2];
+  return static_cast<Count>(
+      (static_cast<int128_t>(rows[n / 2 - 1]) + rows[n / 2]) / 2);
+}
+
+// EstimateBatch over every prefix length in kEstimateBatchLengths of
+// `probes` equals an Estimate loop and the sort-based reference.
+const size_t kEstimateBatchLengths[] = {0, 1, 15, 16, 17, 31, 32, 33, 100};
+
+void ExpectEstimateBatchEquivalence(const CountSketch& sketch,
+                                    const std::vector<ItemId>& probes) {
+  for (size_t n : kEstimateBatchLengths) {
+    ASSERT_LE(n, probes.size());
+    const std::span<const ItemId> ids(probes.data(), n);
+    // Poisoned so a lane the batch fails to write shows up.
+    std::vector<Count> batch(n, std::numeric_limits<Count>::min());
+    sketch.EstimateBatch(ids, batch);
+    for (size_t j = 0; j < n; ++j) {
+      const Count scalar = sketch.Estimate(ids[j]);
+      ASSERT_EQ(batch[j], scalar)
+          << "batch of " << n << ", lane " << j << ", item " << ids[j];
+      ASSERT_EQ(scalar, SortedReferenceEstimate(sketch, ids[j]))
+          << "item " << ids[j];
+    }
+  }
+}
+
+// Stream items (collisions, so rows disagree) followed by never-seen ids.
+std::vector<ItemId> EstimateProbes(const std::vector<ItemId>& stream) {
+  std::vector<ItemId> probes(stream.begin(), stream.begin() + 80);
+  const std::vector<ItemId> unseen = RandomKeys(40, 0xC0FFEE);
+  probes.insert(probes.end(), unseen.begin(), unseen.end());
+  return probes;
+}
+
+const HashFamily kFamilies[] = {HashFamily::kCarterWegman,
+                                HashFamily::kMultiplyShift,
+                                HashFamily::kTabulation};
+const Estimator kEstimators[] = {Estimator::kMedian, Estimator::kMean};
+
+// Every family and estimator at depths 1-9, 16, 64 (the deepest network)
+// and 65 (the selection fallback).
+TEST(EstimateBatchEquivalenceTest, MatchesEstimateAndSortedMedian) {
+  const size_t kDepths[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64, 65};
+  for (HashFamily family : kFamilies) {
+    for (Estimator estimator : kEstimators) {
+      for (size_t depth : kDepths) {
+        SCOPED_TRACE(::testing::Message()
+                     << "family " << static_cast<int>(family) << " estimator "
+                     << static_cast<int>(estimator) << " depth " << depth);
+        CountSketchParams p;
+        p.depth = depth;
+        p.width = 61;
+        p.seed = 43 + depth;
+        p.family = family;
+        p.estimator = estimator;
+        auto sketch = CountSketch::Make(p);
+        ASSERT_TRUE(sketch.ok());
+        const std::vector<ItemId> stream = TestStream(2000, depth);
+        sketch->BatchAdd(stream, 3);
+        sketch->BatchAdd(std::span<const ItemId>(stream).first(300), -7);
+        ExpectEstimateBatchEquivalence(*sketch, EstimateProbes(stream));
+      }
+    }
+  }
+}
+
+// Counters within a few thousand of INT64_MAX and INT64_MIN, written with
+// Add weights: one heavy item per sketch, so collisions push row estimates
+// to both ends of the range. Even depths average two middles near the same
+// end, where (lo + hi) itself would overflow.
+TEST(EstimateBatchEquivalenceTest, CountersNearTheInt64Limits) {
+  const Count kHeavy[] = {std::numeric_limits<Count>::max() - 5000,
+                          std::numeric_limits<Count>::min() + 5000};
+  for (HashFamily family : kFamilies) {
+    for (Estimator estimator : kEstimators) {
+      for (size_t depth : {4, 5}) {
+        for (Count heavy : kHeavy) {
+          SCOPED_TRACE(::testing::Message()
+                       << "family " << static_cast<int>(family)
+                       << " estimator " << static_cast<int>(estimator)
+                       << " depth " << depth << " heavy " << heavy);
+          CountSketchParams p;
+          p.depth = depth;
+          p.width = 4;
+          p.seed = 47;
+          p.family = family;
+          p.estimator = estimator;
+          auto sketch = CountSketch::Make(p);
+          ASSERT_TRUE(sketch.ok());
+          const std::vector<ItemId> stream = TestStream(200, 0x1111);
+          sketch->Add(stream[0], heavy);
+          // The light mass stays far below the 5000 of headroom.
+          for (size_t j = 1; j < 100; ++j) sketch->Add(stream[j], 1 + j % 3);
+          ExpectEstimateBatchEquivalence(*sketch, EstimateProbes(stream));
+        }
+      }
     }
   }
 }
